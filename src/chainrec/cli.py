@@ -185,14 +185,19 @@ def _cmd_exact(args, config) -> int:
         _meta_comment("exact", "-", {"d": d, "n": n_max, "n_cap": n_cap}),
         header,
     ]
+    previous_weak = Fraction(0)
     for n in range(1, n_max + 1):
+        strong = exact.strong_record_prob(d, n)
         running_chain += chain[n - 1]
-        running_strong += exact.strong_record_prob(d, n)
+        running_strong += strong
+        # by linearity, p_weak(n) = E[weak count up to n] - E[... up to n-1]
+        weak = weak_counts[n - 1] - previous_weak
+        previous_weak = weak_counts[n - 1]
         cells = [str(n)]
         for q in (
             chain[n - 1],
-            exact.strong_record_prob(d, n),
-            exact.weak_record_prob(d, n, n_cap=n_cap),
+            strong,
+            weak,
             running_chain,
             running_strong,
             weak_counts[n - 1],
@@ -454,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
     try:
+        config = _load_config(args.config) if getattr(args, "config", None) else {}
         return args.func(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 Every estimate is a deterministic function of its seed: replicate i draws
 from the stream keyed by (seed, task label, i) and aggregation runs in
-replicate order, so worker counts never change results.
+replicate order, so worker counts never change results.  scipy is imported
+only inside the functions that run a test, so importing this module (and
+every command that only summarizes samples) does not load it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.stats
 
 from chainrec.rng import make_stream, stream_id
 
@@ -140,6 +141,8 @@ def two_sample_test(
     if kind == "auto":
         kind = "chisq" if (_is_integer_valued(a) and _is_integer_valued(b)) else "ks"
     if kind == "ks":
+        import scipy.stats
+
         stat, pvalue = scipy.stats.ks_2samp(a, b)
     elif kind == "chisq":
         stat, pvalue = _chi_square_two_sample(a.astype(np.int64), b.astype(np.int64))
@@ -154,6 +157,8 @@ def two_sample_test(
 
 
 def _chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    import scipy.stats
+
     values = np.union1d(a, b)
     oa = np.array([int((a == v).sum()) for v in values], dtype=float)
     ob = np.array([int((b == v).sum()) for v in values], dtype=float)
@@ -197,6 +202,8 @@ def clt_diagnostics(samples: Sequence[float], d: int, n: int) -> CltDiagnostics:
     plus shape statistics; thresholds live with the caller because the
     asymptotics come with no rate.
     """
+    import scipy.stats
+
     samples = np.asarray(samples, dtype=float)
     if n < 1000:
         raise ValueError("diagnostics need horizon n >= 1000")

@@ -4,7 +4,8 @@ Each criterion compares one computational route against an independent
 oracle -- a closed form, the exact rational engine, or another simulator
 of the same law -- and reports {value, target, tolerance, pass}.  Monte
 Carlo comparisons use 4 standard errors; families of distribution tests
-run at a Bonferroni-corrected 0.01.
+run at a Bonferroni-corrected 0.01.  scipy is imported only inside the
+criteria that need it (c05's quadrature; the tests behind c06 and c11).
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-
-import scipy.integrate
 
 import chainrec
 from chainrec import exact, samplers, stats
@@ -170,6 +169,8 @@ def c04_poisson_mixture(seed, overrides, workers=1):
 
 def c05_renewal_equation(seed, overrides, workers=1):
     """The moment function satisfies its renewal-type ODE to 1e-6."""
+    import scipy.integrate
+
     worst = 0.0
     for d, beta, t in product((1, 2), (1, 2), (0.5, 1.0, 2.0)):
         h = 1e-5

@@ -1,11 +1,14 @@
 """CLI tests: formats, error handling, reproducibility, precedence."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chainrec
 from chainrec import exact, verify
 from chainrec.cli import main
 
@@ -122,6 +125,16 @@ def test_exact_cap_error(capsys):
     assert main(["exact", "--d", "2", "--n", "600"]) == 1
     assert "cap" in capsys.readouterr().err
     assert main(["exact", "--d", "1", "--n", "600", "--n-cap", "600"]) == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_exact_weak_column_matches_alternating_sum(capsys, d):
+    assert main(["exact", "--d", str(d), "--n", "60"]) == 0
+    out = capsys.readouterr().out
+    header = [l for l in out.splitlines() if l.startswith("n,")][0].split(",")
+    col = header.index("p_weak_fraction")
+    weak = [r.split(",")[col] for r in data_rows(out)]
+    assert weak == [str(exact.weak_record_prob(d, n)) for n in range(1, 61)]
 
 
 def test_exact_reruns_are_byte_identical(tmp_path):
@@ -261,6 +274,22 @@ def test_config_file_precedence(tmp_path, capsys):
     assert len(chain_column(capsys.readouterr().out)) == 5
 
 
+def test_missing_config_file_is_an_error(tmp_path, capsys):
+    assert main(["exact", "--config", str(tmp_path / "missing.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "missing.cfg" in err
+
+
+def test_malformed_config_line_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d=2\nn 3\n")
+    assert main(["exact", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "line 2" in err
+
+
 def test_env_var_output_directory(tmp_path, monkeypatch):
     monkeypatch.setenv("CHAINREC_OUT_DIR", str(tmp_path))
     assert main(["exact", "--d", "1", "--n", "2", "--out", "sub/table.csv"]) == 0
@@ -338,3 +367,55 @@ def test_verify_tolerance_override_can_force_failure(tmp_path, capsys):
     doc = json.loads((tmp_path / "strict.json").read_text())
     failed = [c for c in doc["criteria"] if not c["pass"]]
     assert [c["criterion"] for c in failed] == ["c04"]
+
+
+# ---------------------------------------------------------------------------
+# scipy is loaded only where a statistical test or a quadrature runs
+
+_IMPORT_SPLIT_SCRIPT = """
+import sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import chainrec.cli
+assert not scipy_modules(), ("import chainrec.cli", scipy_modules()[:3])
+
+from chainrec.cli import main
+work = Path(sys.argv[1])
+marks = work / "marks.csv"
+marks.write_text("x1,x2\\n0.9,0.9\\n0.5,0.5\\n0.7,0.2\\n0.3,0.1\\n")
+for argv in (
+    ["exact", "--d", "2", "--n", "20"],
+    ["detect", "--in", str(marks)],
+    ["simulate", "--what", "chain-count", "--method", "sojourn", "--d", "2",
+     "--n", "100", "--replicates", "20", "--seed", "1"],
+    ["limits", "--kind", "y", "--d", "2", "--replicates", "20", "--seed", "1"],
+):
+    assert main([*argv, "--out", str(work / argv[0])]) == 0, argv
+    assert not scipy_modules(), (argv[0], scipy_modules()[:3])
+
+from chainrec import stats, verify
+assert stats.two_sample_test([0, 1, 1, 2] * 20, [1, 0, 2, 1] * 20, kind="chisq").kind == "chisq"
+assert stats.two_sample_test([0.1, 0.5, 0.9], [0.2, 0.6, 0.7], kind="ks").kind == "ks"
+assert all(r.passed for r in verify.c05_renewal_equation(verify.DEFAULT_SEED, {}))
+assert "scipy.stats" in sys.modules and "scipy.integrate" in sys.modules
+print("ok")
+"""
+
+
+def test_commands_without_tests_do_not_load_scipy(tmp_path):
+    # a fresh interpreter: this one has imported scipy already
+    import_root = str(Path(chainrec.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [import_root, inherited])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SPLIT_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

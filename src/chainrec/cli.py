@@ -276,8 +276,6 @@ def _cmd_simulate(args, config) -> int:
         raise ValueError(f"--n is required for --what {what}")
     if what.startswith("poisson-") and t is None:
         raise ValueError(f"--t is required for --what {what}")
-    if replicates < 1:
-        raise ValueError("--replicates must be >= 1")
 
     values = _simulate_values(what, method, d, n, t, b0, trunc_tol, replicates, seed, workers)
     # the worker count never changes results, so it is not part of the

@@ -10,9 +10,11 @@ and must agree in distribution:
   hits below the current height, the partition-style counting oracle.
 
 Scalar functions take a generator from :func:`chainrec.rng.make_stream`
-and are pure given that stream.  The ``sample_*`` batch drivers produce
-many replicates with a fixed chunked stream layout (chunk i of a task
-uses substream i), so their output is bit-identical for any worker count.
+and are pure given that stream.  Every batch result -- the ``sample_*``
+functions here and :func:`chainrec.stats.estimate` -- comes from one
+driver, :func:`_run_chunked`: chunk i of a task draws from substream i of
+the task's label and chunk results are merged in chunk order, so output
+is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from chainrec.rng import make_stream, stream_id
 
-_CHUNK_BUDGET = 1 << 24  # doubles per generated block in batch drivers
+_CHUNK_BUDGET = 1 << 24  # doubles per chunk: bounds the chunk size of the array kernels
+_SUB_BLOCK = 1 << 22  # doubles drawn at once inside one direct-detection chunk
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +74,6 @@ class PoissonPacedPath:
     def count(self) -> int:
         return len(self.jump_times)
 
-    def count_at(self, t: float) -> int:
-        return sum(1 for s in self.jump_times if s <= t)
-
     def state_at(self, t: float) -> float:
         state = self.initial_state
         for s, h in zip(self.jump_times, self.heights_after_jump):
@@ -95,18 +95,6 @@ class PoissonPacedPath:
             prev = s
             state = h
         return total + state * (end - prev)
-
-    def after(self, t0: float) -> "PoissonPacedPath":
-        """Re-based path with the prefix [0, t0) discarded (burn-in)."""
-        if not 0 <= t0 <= self.horizon:
-            raise ValueError("t0 must lie in [0, horizon]")
-        jumps = [(s - t0, h) for s, h in zip(self.jump_times, self.heights_after_jump) if s > t0]
-        return PoissonPacedPath(
-            tuple(s for s, _ in jumps),
-            tuple(h for _, h in jumps),
-            self.horizon - t0,
-            self.state_at(t0),
-        )
 
 
 @dataclass(frozen=True)
@@ -154,13 +142,21 @@ def sample_height_sequence(rng: np.random.Generator, d: int, floor: float) -> He
             return HeightSequence(tuple(heights), d)
 
 
-def _direct_scan(rng, d, n, block_size):
+def _direct_scan(rng, d, max_marks, max_records, block_size=1 << 16):
+    """Chain records among up to ``max_marks`` marks, stopping at ``max_records``.
+
+    Blocks grow geometrically from 1024 marks to ``block_size``, since
+    records are dense early and waiting times are heavy tailed.  Returns
+    the record times, their heights and the number of marks drawn.
+    """
     times: list[int] = []
     heights: list[float] = []
     rec = None
     produced = 0
-    while produced < n:
-        m = min(block_size, n - produced)
+    grow = 1024
+    while produced < max_marks and len(times) < max_records:
+        m = min(grow, block_size, max_marks - produced)
+        grow *= 2
         block = rng.random((m, d))
         i = 0
         if rec is None:
@@ -168,7 +164,7 @@ def _direct_scan(rng, d, n, block_size):
             times.append(1)
             heights.append(float(rec.prod()))
             i = 1
-        while i < m:
+        while i < m and len(times) < max_records:
             sub = block[i:]
             mask = (sub <= rec).all(axis=1) & (sub < rec).any(axis=1)
             if not mask.any():
@@ -179,7 +175,7 @@ def _direct_scan(rng, d, n, block_size):
             heights.append(float(rec.prod()))
             i += j + 1
         produced += m
-    return times, heights
+    return times, heights, produced
 
 
 def simulate_direct(
@@ -191,7 +187,8 @@ def simulate_direct(
     """
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    times, heights = _direct_scan(rng, d, n, block_size)
+    # n marks hold at most n records, so the scan draws all of them
+    times, heights, _ = _direct_scan(rng, d, n, n, block_size)
     return ChainRecordTrace(tuple(times), tuple(heights), n, d)
 
 
@@ -211,32 +208,7 @@ def simulate_direct_until(
     """
     if d < 1 or num_records < 1:
         raise ValueError("need d >= 1 and num_records >= 1")
-    times: list[int] = []
-    heights: list[float] = []
-    rec = None
-    produced = 0
-    grow = 1024  # blocks grow geometrically: waiting times are heavy tailed
-    while produced < max_marks and len(times) < num_records:
-        m = min(grow, block_size, max_marks - produced)
-        grow *= 2
-        block = rng.random((m, d))
-        i = 0
-        if rec is None:
-            rec = block[0].copy()
-            times.append(1)
-            heights.append(float(rec.prod()))
-            i = 1
-        while i < m and len(times) < num_records:
-            sub = block[i:]
-            mask = (sub <= rec).all(axis=1) & (sub < rec).any(axis=1)
-            if not mask.any():
-                break
-            j = int(mask.argmax())
-            rec = sub[j].copy()
-            times.append(produced + i + j + 1)
-            heights.append(float(rec.prod()))
-            i += j + 1
-        produced += m
+    times, heights, produced = _direct_scan(rng, d, max_marks, num_records, block_size)
     return ChainRecordTrace(tuple(times), tuple(heights), produced, d)
 
 
@@ -271,6 +243,22 @@ def simulate_sojourn(rng: np.random.Generator, d: int, n: int) -> ChainRecordTra
     return ChainRecordTrace(tuple(times), tuple(heights), n, d)
 
 
+def _insertion_scan(rng, d, n):
+    """The screening scan of :func:`simulate_insertion`.
+
+    Returns the n screened uniforms, the heights that replaced terms (one
+    per replaced term, decreasing) and the log of the last height.
+    """
+    u = rng.random(n)
+    log_h = float(np.log(rng.random(d)).sum())
+    heights = [math.exp(log_h)]
+    for j in range(1, n):
+        if u[j] < heights[-1]:
+            log_h += float(np.log(rng.random(d)).sum())
+            heights.append(math.exp(log_h))
+    return u, heights, log_h
+
+
 def simulate_insertion(rng: np.random.Generator, d: int, n: int) -> int:
     """Chain-record count by the screening/insertion construction.
 
@@ -281,46 +269,8 @@ def simulate_insertion(rng: np.random.Generator, d: int, n: int) -> int:
     """
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    u = rng.random(n)
-    count = 1
-    log_h = float(np.log(rng.random(d)).sum())
-    h = math.exp(log_h)
-    for j in range(1, n):
-        if u[j] < h:
-            count += 1
-            log_h += float(np.log(rng.random(d)).sum())
-            h = math.exp(log_h)
-    return count
-
-
-def insertion_with_renewal(
-    rng: np.random.Generator, d: int, n: int
-) -> tuple[int, int, int]:
-    """Insertion count coupled with its renewal count and sub-1/n uniforms.
-
-    Returns ``(count, renewal, below)`` where ``renewal`` counts the
-    heights of the same stick-breaking sequence above 1/n and ``below``
-    counts the screened uniforms under 1/n.  Diagnostic for the sandwich
-    count <= renewal + below, which should hold with probability near 1.
-    """
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
-    u = rng.random(n)
-    count = 1
-    log_h = float(np.log(rng.random(d)).sum())
-    heights = [math.exp(log_h)]
-    for j in range(1, n):
-        if u[j] < heights[-1]:
-            count += 1
-            log_h += float(np.log(rng.random(d)).sum())
-            heights.append(math.exp(log_h))
-    floor = 1.0 / n
-    while heights[-1] > floor:
-        log_h += float(np.log(rng.random(d)).sum())
-        heights.append(math.exp(log_h))
-    renewal = sum(1 for h in heights if h > floor)
-    below = int((u < floor).sum())
-    return count, renewal, below
+    _, heights, _ = _insertion_scan(rng, d, n)
+    return len(heights)
 
 
 def renewal_count(heights, n: int) -> int:
@@ -385,18 +335,6 @@ def sample_limit_variable(
     followed by ordinary height factors.  The series stops once the
     expected remainder P_k/(2^d - 1) drops below ``tolerance``.
     """
-    value, _ = _limit_variable_scalar(rng, d, tolerance)
-    return value
-
-
-def sample_limit_variable_with_depth(
-    rng: np.random.Generator, d: int, tolerance: float = 1e-6
-) -> tuple[float, int]:
-    """Like :func:`sample_limit_variable` but also reports the stop index."""
-    return _limit_variable_scalar(rng, d, tolerance)
-
-
-def _limit_variable_scalar(rng, d, tolerance):
     if d < 1:
         raise ValueError("d must be >= 1")
     if tolerance <= 0:
@@ -404,28 +342,35 @@ def _limit_variable_scalar(rng, d, tolerance):
     tail_ratio = 1.0 / (2**d - 1)  # expected series remainder per unit of product
     p = sample_stationary_height_factor(rng, d)
     y = float(rng.exponential()) * p
-    depth = 0
     while p * tail_ratio >= tolerance:
         p *= sample_height_factor(rng, d)
         y += float(rng.exponential()) * p
-        depth += 1
-    return y, depth
+    return y
+
+
+def _straddle(rng, d):
+    """-log of the stationary renewal-grid heights on both sides of level 1.
+
+    The step across the unit level is length biased (Gamma(d+1, 1) in log
+    space) and split uniformly, which reproduces the equilibrium law on
+    both sides.  Returns ``(x_above, x_at_or_below)`` with x_above < 0 and
+    x_at_or_below >= 0.
+    """
+    straddle = float(rng.gamma(d + 1))
+    x0 = float(rng.random()) * straddle
+    return x0 - straddle, x0
 
 
 def sample_stationary_height_pair(rng: np.random.Generator, d: int) -> tuple[float, float]:
     """Heights straddling level 1 of the stationary multiplicative renewal grid.
 
-    The step across the unit level is length biased (Gamma(d+1, 1) in log
-    space) and split uniformly, which reproduces the equilibrium law on
-    both sides; returns ``(above, at_or_below)`` with above > 1 and
-    at_or_below in (0, 1].
+    Returns ``(above, at_or_below)`` with above > 1 and at_or_below in
+    (0, 1]; each has the equilibrium law on its side of the level.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    straddle = float(rng.gamma(d + 1))
-    v = float(rng.random())
-    x0 = v * straddle
-    return math.exp(straddle - x0), math.exp(-x0)
+    x_above, x_below = _straddle(rng, d)
+    return math.exp(-x_above), math.exp(-x_below)
 
 
 def sample_limit_process(
@@ -449,11 +394,8 @@ def sample_limit_process(
         raise ValueError("window must satisfy 0 < s_lo < s_hi and t_hi > 0")
     if truncation_tol <= 0:
         raise ValueError("truncation tolerance must be positive")
-    straddle = float(rng.gamma(d + 1))
-    v = float(rng.random())
-    x0 = v * straddle
     # ascending -log(height); grid[0] is the deepest backward point
-    grid = [x0 - straddle, x0]
+    grid = list(_straddle(rng, d))
     tail_const = 1.0 / math.expm1(d)
     while True:
         top = math.exp(-grid[0])  # largest height collected so far
@@ -489,20 +431,35 @@ def sample_limit_process(
 
 
 def _run_chunked(chunk_fn, total, seed, label, chunk_size, workers):
+    """``chunk_fn(gen, m)`` over ``total`` replicates in chunks, merged in order.
+
+    Chunks hold ``chunk_size`` replicates (the last one the remainder) and
+    chunk i draws from substream i of ``label``.  Chunk results are arrays,
+    or tuples of arrays, concatenated along their first axis.
+    """
+    if total < 1:
+        raise ValueError("replicates must be >= 1")
     sid = stream_id(label)
     sizes = [chunk_size] * (total // chunk_size)
     if total % chunk_size:
         sizes.append(total % chunk_size)
 
-    def one(i_m):
-        i, m = i_m
-        return chunk_fn(make_stream(seed, sid, i), m)
+    def one(i):
+        return chunk_fn(make_stream(seed, sid, i), sizes[i])
 
-    tasks = list(enumerate(sizes))
     if workers <= 1:
-        return [one(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, tasks))
+        parts = [one(i) for i in range(len(sizes))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(one, range(len(sizes))))
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _per_replicate(draw, dtype=np.int64):
+    """Chunk function that calls the scalar sampler ``draw(gen)`` per replicate."""
+    return lambda gen, m: np.array([draw(gen) for _ in range(m)], dtype=dtype)
 
 
 def _height_factor_column(gen, d, m):
@@ -510,36 +467,28 @@ def _height_factor_column(gen, d, m):
 
 
 def _direct_counts_chunk(gen, d, n, m):
-    u = gen.random((m, n, d))
-    rec = u[:, 0, :].copy()
+    """Direct detection on m replicates of n marks.
+
+    Returns the per-replicate counts and a (1, n) row whose entry j counts
+    the replicates with a chain record at index j+1.  Replicates are drawn
+    in consecutive sub-blocks of at most ``_SUB_BLOCK`` doubles, which
+    consume the stream exactly as one (m, n, d) draw would.
+    """
     counts = np.ones(m, dtype=np.int64)
-    for j in range(1, n):
-        x = u[:, j, :]
-        beat = (x <= rec).all(axis=1) & (x < rec).any(axis=1)
-        counts[beat] += 1
-        rec[beat] = x[beat]
-    return counts
-
-
-def _direct_counts_rowwise_chunk(gen, d, n, m, block_size=1 << 16):
-    counts = np.empty(m, dtype=np.int64)
-    for r in range(m):
-        times, _ = _direct_scan(gen, d, n, block_size)
-        counts[r] = len(times)
-    return counts
-
-
-def _direct_flag_totals_chunk(gen, d, n, m):
-    u = gen.random((m, n, d))
-    rec = u[:, 0, :].copy()
-    totals = np.zeros(n, dtype=np.int64)
-    totals[0] = m
-    for j in range(1, n):
-        x = u[:, j, :]
-        beat = (x <= rec).all(axis=1) & (x < rec).any(axis=1)
-        totals[j] = int(beat.sum())
-        rec[beat] = x[beat]
-    return totals
+    totals = np.zeros((1, n), dtype=np.int64)
+    totals[0, 0] = m
+    step = max(1, _SUB_BLOCK // (n * d))
+    for lo in range(0, m, step):
+        u = gen.random((min(step, m - lo), n, d))
+        rec = u[:, 0, :].copy()
+        block_counts = counts[lo : lo + len(u)]
+        for j in range(1, n):
+            x = u[:, j, :]
+            beat = (x <= rec).all(axis=1) & (x < rec).any(axis=1)
+            block_counts += beat
+            totals[0, j] += np.count_nonzero(beat)
+            rec[beat] = x[beat]
+    return counts, totals
 
 
 def _sojourn_counts_chunk(gen, d, n, m):
@@ -633,18 +582,21 @@ def _limit_variable_chunk(gen, d, tolerance, m):
     return y, depth
 
 
-def _window_counts_chunk(gen, d, window, tol, m):
-    counts = np.empty(m, dtype=np.int64)
-    for r in range(m):
-        counts[r] = sample_limit_process(gen, d, window, tol).count
-    return counts
+def _insertion_renewal(rng, d, n):
+    """``(count, renewal, below)`` of one insertion run.
 
-
-def _insertion_renewal_chunk(gen, d, n, m):
-    out = np.empty((m, 3), dtype=np.int64)
-    for r in range(m):
-        out[r] = insertion_with_renewal(gen, d, n)
-    return out
+    ``renewal`` counts the run's stick-breaking heights above 1/n (the
+    sequence extended past the scan until it drops to 1/n) and ``below``
+    the screened uniforms under 1/n: a diagnostic for the sandwich
+    count <= renewal + below + 1.
+    """
+    u, heights, log_h = _insertion_scan(rng, d, n)
+    count = len(heights)
+    floor = 1.0 / n
+    while heights[-1] > floor:
+        log_h += float(np.log(rng.random(d)).sum())
+        heights.append(math.exp(log_h))
+    return count, sum(1 for h in heights if h > floor), int((u < floor).sum())
 
 
 def _clamped_chunk(chunk_size, doubles_per_item):
@@ -670,24 +622,23 @@ def sample_chain_counts(
     """
     if method not in ("direct", "sojourn", "insertion"):
         raise ValueError(f"unknown method {method!r}")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
     label = label or f"chain-counts:{method}:d={d}:n={n}"
     if method == "direct":
         if n <= 4096:
             m = _clamped_chunk(chunk_size, n * d)
-            fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)
+            fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)[0]
         else:
             m = chunk_size
-            fn = lambda gen, k: _direct_counts_rowwise_chunk(gen, d, n, k)
+            fn = _per_replicate(lambda gen: len(_direct_scan(gen, d, n, n)[0]))
     elif method == "sojourn":
         m = chunk_size
         fn = lambda gen, k: _sojourn_counts_chunk(gen, d, n, k)
     else:
         m = _clamped_chunk(chunk_size, n)
         fn = lambda gen, k: _insertion_counts_chunk(gen, d, n, k)
-    parts = _run_chunked(fn, replicates, seed, label, m, workers)
-    return np.concatenate(parts)
+    return _run_chunked(fn, replicates, seed, label, m, workers)
 
 
 def sample_chain_flag_totals(
@@ -707,16 +658,9 @@ def sample_chain_flag_totals(
     probability.
     """
     label = label or f"chain-flags:d={d}:n={n}"
+    fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)[1]
     m = _clamped_chunk(chunk_size, n * d)
-    parts = _run_chunked(
-        lambda gen, k: _direct_flag_totals_chunk(gen, d, n, k),
-        replicates,
-        seed,
-        label,
-        m,
-        workers,
-    )
-    return np.sum(parts, axis=0)
+    return _run_chunked(fn, replicates, seed, label, m, workers).sum(axis=0)
 
 
 def sample_renewal_counts(
@@ -731,15 +675,8 @@ def sample_renewal_counts(
 ) -> np.ndarray:
     """Renewal counts: stick-breaking heights above 1/n, per replicate."""
     label = label or f"renewal-counts:d={d}:n={n}"
-    parts = _run_chunked(
-        lambda gen, k: _renewal_counts_chunk(gen, d, n, k),
-        replicates,
-        seed,
-        label,
-        chunk_size,
-        workers,
-    )
-    return np.concatenate(parts)
+    fn = lambda gen, k: _renewal_counts_chunk(gen, d, n, k)
+    return _run_chunked(fn, replicates, seed, label, chunk_size, workers)
 
 
 def sample_poisson_paced_terminals(
@@ -755,18 +692,8 @@ def sample_poisson_paced_terminals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jump counts, path integrals and terminal states of the paced process."""
     label = label or f"poisson-paced:d={d}:t={t_horizon}:b0={b0}"
-    parts = _run_chunked(
-        lambda gen, k: _poisson_paced_chunk(gen, d, t_horizon, b0, k),
-        replicates,
-        seed,
-        label,
-        chunk_size,
-        workers,
-    )
-    counts = np.concatenate([p[0] for p in parts])
-    integrals = np.concatenate([p[1] for p in parts])
-    states = np.concatenate([p[2] for p in parts])
-    return counts, integrals, states
+    fn = lambda gen, k: _poisson_paced_chunk(gen, d, t_horizon, b0, k)
+    return _run_chunked(fn, replicates, seed, label, chunk_size, workers)
 
 
 def sample_limit_variables(
@@ -783,17 +710,8 @@ def sample_limit_variables(
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     label = label or f"limit-variable:d={d}:tol={tolerance}"
-    parts = _run_chunked(
-        lambda gen, k: _limit_variable_chunk(gen, d, tolerance, k),
-        replicates,
-        seed,
-        label,
-        chunk_size,
-        workers,
-    )
-    values = np.concatenate([p[0] for p in parts])
-    depths = np.concatenate([p[1] for p in parts])
-    return values, depths
+    fn = lambda gen, k: _limit_variable_chunk(gen, d, tolerance, k)
+    return _run_chunked(fn, replicates, seed, label, chunk_size, workers)
 
 
 def sample_window_counts(
@@ -809,15 +727,8 @@ def sample_window_counts(
 ) -> np.ndarray:
     """Point counts of independent limit-process draws in a fixed window."""
     label = label or f"window-counts:d={d}:window={window}:tol={truncation_tol}"
-    parts = _run_chunked(
-        lambda gen, k: _window_counts_chunk(gen, d, window, truncation_tol, k),
-        replicates,
-        seed,
-        label,
-        chunk_size,
-        workers,
-    )
-    return np.concatenate(parts)
+    fn = _per_replicate(lambda gen: sample_limit_process(gen, d, window, truncation_tol).count)
+    return _run_chunked(fn, replicates, seed, label, chunk_size, workers)
 
 
 def sample_insertion_renewal_diagnostics(
@@ -831,13 +742,8 @@ def sample_insertion_renewal_diagnostics(
     workers: int = 1,
 ) -> np.ndarray:
     """Coupled (count, renewal, below-1/n) triples from insertion runs."""
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
     label = label or f"insertion-renewal:d={d}:n={n}"
-    parts = _run_chunked(
-        lambda gen, k: _insertion_renewal_chunk(gen, d, n, k),
-        replicates,
-        seed,
-        label,
-        chunk_size,
-        workers,
-    )
-    return np.concatenate(parts)
+    fn = _per_replicate(lambda gen: _insertion_renewal(gen, d, n))
+    return _run_chunked(fn, replicates, seed, label, chunk_size, workers)

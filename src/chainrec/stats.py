@@ -1,8 +1,9 @@
 """Monte Carlo estimation, distributional tests and growth diagnostics.
 
-Every estimate is a deterministic function of its seed: replicate i draws
-from the stream keyed by (seed, task label, i) and aggregation runs in
-replicate order, so worker counts never change results.  scipy is imported
+Every estimate is a deterministic function of its seed: it runs on the
+samplers' chunked driver with one replicate per chunk, so replicate i
+draws from the stream keyed by (seed, task label, i), aggregation runs in
+replicate order and worker counts never change results.  scipy is imported
 only inside the functions that run a test, so importing this module (and
 every command that only summarizes samples) does not load it.
 """
@@ -10,13 +11,12 @@ every command that only summarizes samples) does not load it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from chainrec.rng import make_stream, stream_id
+from chainrec.samplers import _per_replicate, _run_chunked
 
 
 @dataclass(frozen=True)
@@ -79,20 +79,7 @@ def estimate(
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
-    sid = stream_id(label)
-    values = np.empty(replicates)
-
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            values[i] = sampler(make_stream(seed, sid, i))
-
-    if workers <= 1:
-        fill(0, replicates)
-    else:
-        step = max(1, math.ceil(replicates / workers))
-        spans = [(lo, min(lo + step, replicates)) for lo in range(0, replicates, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda s: fill(*s), spans))
+    values = _run_chunked(_per_replicate(sampler, float), replicates, seed, label, 1, workers)
     return summarize(values, label, seed, params)
 
 
@@ -157,7 +144,7 @@ def two_sample_test(
 
 
 def _chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    import scipy.stats
+    import scipy.special  # the chi-square tail alone, without scipy.stats
 
     values = np.union1d(a, b)
     oa = np.array([int((a == v).sum()) for v in values], dtype=float)
@@ -192,7 +179,7 @@ def _chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     exp_b = col_totals * share_b
     stat = float(((obs_a - exp_a) ** 2 / exp_a).sum() + ((obs_b - exp_b) ** 2 / exp_b).sum())
     dof = len(bins_a) - 1
-    return stat, float(scipy.stats.chi2.sf(stat, dof))
+    return stat, float(scipy.special.chdtrc(dof, stat))
 
 
 def clt_diagnostics(samples: Sequence[float], d: int, n: int) -> CltDiagnostics:

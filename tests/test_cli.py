@@ -12,14 +12,7 @@ import chainrec
 from chainrec import exact, verify
 from chainrec.cli import main
 
-from conftest import ELEVEN_POINT_CHAIN, ELEVEN_POINT_MARKS, FOUR_POINT_MARKS
-
-
-def write_marks_csv(path, marks):
-    d = len(marks[0])
-    lines = [",".join(f"x{i}" for i in range(1, d + 1))]
-    lines += [",".join(repr(c) for c in m) for m in marks]
-    path.write_text("\n".join(lines) + "\n")
+from conftest import ELEVEN_POINT_CHAIN, ELEVEN_POINT_MARKS, FOUR_POINT_MARKS, write_marks_csv
 
 
 def data_rows(text):
@@ -214,6 +207,24 @@ def test_simulate_missing_horizon(capsys):
     assert "--t is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["limits", "--kind", "y", "--d", "2", "--replicates", "-5"], "replicates must be >= 1"),
+        (["limits", "--kind", "y", "--d", "2", "--replicates", "0"], "replicates must be >= 1"),
+        (["simulate", "--d", "2", "--n", "10", "--replicates", "0"], "replicates must be >= 1"),
+        (["simulate", "--what", "renewal-count", "--d", "2", "--n", "10", "--replicates", "-3"],
+         "replicates must be >= 1"),
+        (["simulate", "--method", "direct", "--d", "2", "--n", "0", "--replicates", "3"],
+         "need d >= 1 and n >= 1"),
+    ],
+)
+def test_invalid_sample_sizes_are_rejected(argv, message, tmp_path, capsys):
+    assert main([*argv, "--seed", "1", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_trace_dump(tmp_path):
     out = tmp_path / "tr"
     args = ["simulate", "--what", "chain-count", "--method", "sojourn", "--d", "2",
@@ -398,7 +409,9 @@ for argv in (
 
 from chainrec import stats, verify
 assert stats.two_sample_test([0, 1, 1, 2] * 20, [1, 0, 2, 1] * 20, kind="chisq").kind == "chisq"
+assert "scipy.stats" not in sys.modules, "the chi-square tail loaded scipy.stats"
 assert stats.two_sample_test([0.1, 0.5, 0.9], [0.2, 0.6, 0.7], kind="ks").kind == "ks"
+assert "scipy.stats" in sys.modules
 assert all(r.passed for r in verify.c05_renewal_equation(verify.DEFAULT_SEED, {}))
 assert "scipy.stats" in sys.modules and "scipy.integrate" in sys.modules
 print("ok")

@@ -18,7 +18,6 @@ from chainrec.samplers import (
     sample_height_sequence,
     sample_limit_process,
     sample_limit_variable,
-    sample_limit_variable_with_depth,
     sample_limit_variables,
     sample_marks,
     sample_poisson_paced_terminals,
@@ -64,6 +63,39 @@ def test_batch_counts_independent_of_worker_count():
         one = sample_chain_counts(method, 2, 50, 3000, workers=1, **kwargs)
         four = sample_chain_counts(method, 2, 50, 3000, workers=4, **kwargs)
         assert np.array_equal(one, four)
+
+
+# ---------------------------------------------------------------------------
+# the batch driver
+
+
+BATCH_DRIVERS = {
+    **{
+        f"chain-counts-{method}": lambda r, method=method: sample_chain_counts(
+            method, 2, 10, r, seed=SEED)
+        for method in ("direct", "sojourn", "insertion")
+    },
+    "chain-flag-totals": lambda r: samplers.sample_chain_flag_totals(2, 10, r, seed=SEED),
+    "renewal-counts": lambda r: sample_renewal_counts(2, 10, r, seed=SEED),
+    "poisson-paced": lambda r: sample_poisson_paced_terminals(2, 1.0, r, seed=SEED),
+    "limit-variables": lambda r: sample_limit_variables(2, r, seed=SEED),
+    "window-counts": lambda r: sample_window_counts(2, (0.25, 1.0, 4.0), r, seed=SEED),
+    "insertion-renewal": lambda r: samplers.sample_insertion_renewal_diagnostics(
+        2, 10, r, seed=SEED),
+}
+
+
+@pytest.mark.parametrize("replicates", [0, -3])
+@pytest.mark.parametrize("driver", sorted(BATCH_DRIVERS))
+def test_batch_drivers_reject_nonpositive_replicates(driver, replicates):
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        BATCH_DRIVERS[driver](replicates)
+
+
+@pytest.mark.parametrize("method", ["direct", "sojourn", "insertion"])
+def test_chain_counts_reject_an_empty_horizon(method):
+    with pytest.raises(ValueError, match="n >= 1"):
+        sample_chain_counts(method, 2, 0, 10, seed=SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +152,7 @@ def test_direct_matches_records_module_per_seed():
     tr = simulate_direct(make_stream(SEED, 31), 2, 2000)
     marks = sample_marks(make_stream(SEED, 31), 2, 2000)
     assert tuple(chain_record_indices(marks)) == tr.record_times
+    assert simulate_direct(make_stream(SEED, 31), 2, 2000, block_size=100) == tr
     for t, h in zip(tr.record_times, tr.heights):
         assert abs(math.prod(marks[t - 1]) - h) < 1e-15
 
@@ -138,6 +171,20 @@ def test_direct_per_index_probabilities():
         phat = totals[n - 1] / reps
         se = math.sqrt(phat * (1 - phat) / reps)
         assert abs(phat - float(table[n - 1])) < 4 * se
+
+
+def test_direct_kernel_sub_blocks_match_one_block_and_the_scalar_scan(monkeypatch):
+    d, n, m = 2, 300, 50
+    one_block = samplers._direct_counts_chunk(make_stream(SEED, 34), d, n, m)
+    monkeypatch.setattr(samplers, "_SUB_BLOCK", 7 * n * d)  # 7 replicates per draw
+    sub_blocked = samplers._direct_counts_chunk(make_stream(SEED, 34), d, n, m)
+    assert all(np.array_equal(a, b) for a, b in zip(one_block, sub_blocked))
+    # replicate r of a chunk is the r-th scalar scan of the same stream
+    gen = make_stream(SEED, 34)
+    scans = [samplers._direct_scan(gen, d, n, n)[0] for _ in range(m)]
+    assert one_block[0].tolist() == [len(times) for times in scans]
+    flags = np.bincount([t - 1 for times in scans for t in times], minlength=n)
+    assert one_block[1].tolist() == [flags.tolist()]
 
 
 def test_log_transform_correspondence_on_simulated_marks():
@@ -307,16 +354,19 @@ def test_poisson_paced_path_structure():
     assert all(a < b for a, b in zip(path.jump_times, path.jump_times[1:]))
     heights = (path.initial_state,) + path.heights_after_jump
     assert all(0 < b / a < 1 for a, b in zip(heights, heights[1:]))
-    assert path.count == path.count_at(50.0)
+    assert path.jump_times[-1] <= 50.0
     assert path.state_at(0.0) == 1.0
     assert path.state_at(50.0) == path.heights_after_jump[-1]
 
 
-def test_poisson_paced_integral_and_burn_in():
+def test_poisson_paced_integral_sums_the_segments():
     path = simulate_poisson_paced(make_stream(SEED, 81), 1, 10.0, b0=2.0)
-    total = path.height_integral()
-    assert path.height_integral(4.0) + path.after(4.0).height_integral() == pytest.approx(total)
-    assert path.after(4.0).initial_state == path.state_at(4.0)
+    assert path.count >= 2
+    for upto in (4.0, 10.0):
+        cuts = [0.0, *(s for s in path.jump_times if s < upto), upto]
+        segments = sum((b - a) * path.state_at(a) for a, b in zip(cuts, cuts[1:]))
+        assert path.height_integral(upto) == pytest.approx(segments)
+    assert path.height_integral() == path.height_integral(10.0)
 
 
 def test_compensator_identity_small():
@@ -405,9 +455,7 @@ def test_limit_variable_alternative_sampler_dimension_two():
 
 
 def test_limit_variable_scalar_matches_tolerance_contract():
-    gen = make_stream(SEED, 94)
-    y, depth = sample_limit_variable_with_depth(gen, 2, tolerance=1e-8)
-    assert y > 0 and depth >= 0
+    assert sample_limit_variable(make_stream(SEED, 94), 2, tolerance=1e-8) > 0
     loose = np.array([sample_limit_variable(make_stream(SEED, 95, i), 2, 1e-2) for i in range(200)])
     tight = np.array([sample_limit_variable(make_stream(SEED, 95, i), 2, 1e-10) for i in range(200)])
     # same streams, tighter tolerance: the series only gains terms

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chainrec import exact, samplers
-from chainrec.rng import make_stream
+from chainrec.rng import make_stream, stream_id
 from chainrec.stats import (
     bonferroni,
     clt_diagnostics,
@@ -43,6 +43,14 @@ def test_estimate_is_deterministic_and_worker_invariant():
     assert a == b == c
     other = estimate(sampler, 500, SEED + 1, label="test:det")
     assert other.value != a.value
+
+
+def test_estimate_replicate_i_draws_substream_i():
+    summary = estimate(lambda gen: float(gen.random()), 7, SEED, label="test:layout", workers=3)
+    sid = stream_id("test:layout")
+    draws = np.array([make_stream(SEED, sid, i).random() for i in range(7)])
+    assert summary.value == float(draws.mean())
+    assert summary.std_error == float(draws.std(ddof=1) / math.sqrt(7))
 
 
 def test_estimate_log_height_factor():

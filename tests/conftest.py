@@ -33,14 +33,6 @@ ELEVEN_POINT_STRONG = [1]
 ELEVEN_POINT_MARGINAL = [1, 2, 3, 5, 6]
 
 
-def write_marks_csv(path, marks):
-    """Write marks as the ``detect`` input CSV: header x1,...,xd, one mark per row."""
-    d = len(marks[0])
-    lines = [",".join(f"x{i}" for i in range(1, d + 1))]
-    lines += [",".join(repr(c) for c in m) for m in marks]
-    path.write_text("\n".join(lines) + "\n")
-
-
 @pytest.fixture
 def four_point_marks():
     return list(FOUR_POINT_MARKS)

@@ -12,7 +12,14 @@ import chainrec
 from chainrec import exact, verify
 from chainrec.cli import main
 
-from conftest import ELEVEN_POINT_CHAIN, ELEVEN_POINT_MARKS, FOUR_POINT_MARKS, write_marks_csv
+from conftest import ELEVEN_POINT_CHAIN, ELEVEN_POINT_MARKS, FOUR_POINT_MARKS
+
+
+def write_marks_csv(path, marks):
+    d = len(marks[0])
+    lines = [",".join(f"x{i}" for i in range(1, d + 1))]
+    lines += [",".join(repr(c) for c in m) for m in marks]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def data_rows(text):

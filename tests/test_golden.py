@@ -22,10 +22,17 @@ import pytest
 from chainrec import samplers, stats
 from chainrec.cli import main
 from chainrec.rng import make_stream, stream_id
-from conftest import ELEVEN_POINT_MARKS, FOUR_POINT_MARKS, write_marks_csv
+from conftest import ELEVEN_POINT_MARKS, FOUR_POINT_MARKS
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 SEED = 20240917
+
+
+def _write_marks(path: Path, marks) -> None:
+    dim = len(marks[0])
+    rows = [",".join(f"x{i}" for i in range(1, dim + 1))]
+    rows.extend(",".join(repr(v) for v in m) for m in marks)
+    path.write_text("\n".join(rows) + "\n")
 
 
 def _cli_files(workdir: Path, name: str) -> bytes:
@@ -35,7 +42,7 @@ def _cli_files(workdir: Path, name: str) -> bytes:
     os.chdir(workdir)  # relative paths keep the temp dir out of the headers
     try:
         if name in DETECT_MARKS:
-            write_marks_csv(Path("marks.csv"), DETECT_MARKS[name])
+            _write_marks(Path("marks.csv"), DETECT_MARKS[name])
         assert main([*CLI_CASES[name], "--out", "out"]) == 0, name
         files = sorted(p for p in Path(".").iterdir() if p.is_file())
         return b"".join(p.name.encode() + b"\0" + p.read_bytes() for p in files)

@@ -23,9 +23,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from chainrec import __version__, exact, samplers, stats
 from chainrec import verify as verify_mod
-from chainrec.records import classify_sequence
+from chainrec.records import RecordDetector
 from chainrec.rng import make_stream, stream_id
 
 ENV_OUT_DIR = "CHAINREC_OUT_DIR"
@@ -152,13 +154,17 @@ def _cmd_detect(args, config) -> int:
     marks = _read_marks_csv(input_path)
     if want_dim is not None and len(marks[0]) != want_dim:
         raise ValueError(f"input has dimension {len(marks[0])}, expected --d {want_dim}")
-    flags = classify_sequence(marks)
+    d = len(marks[0])
+    flags = RecordDetector(d).extend(marks)
+    # each row after its index is ",c,w,s,m1..md": one code point per cell
+    cells = np.full((len(marks), 7 + d), ord(","), dtype=np.uint32)
+    cells[:, [1, 3, 5, *range(7, 7 + d)]] = flags + ord("0")
     lines = [
-        _meta_comment("detect", "-", {"in": input_path, "d": len(marks[0]), "rows": len(marks)}),
+        _meta_comment("detect", "-", {"in": input_path, "d": d, "rows": len(marks)}),
         "index,chain,weak,strong,marginal_mask",
     ]
-    for f in flags:
-        lines.append(f"{f.index},{int(f.chain)},{int(f.weak)},{int(f.strong)},{f.marginal_mask}")
+    tails = cells.view(f"U{7 + d}").ravel().tolist()
+    lines.extend(f"{i}{tail}" for i, tail in enumerate(tails, 1))
     _emit("\n".join(lines) + "\n", _resolve_out(args.out))
     return 0
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chainrec
@@ -13,6 +14,7 @@ from chainrec import exact, verify
 from chainrec.cli import main
 
 from conftest import ELEVEN_POINT_CHAIN, ELEVEN_POINT_MARKS, FOUR_POINT_MARKS
+from test_records import oracle_flags
 
 
 def write_marks_csv(path, marks):
@@ -60,6 +62,39 @@ def test_detect_single_row(tmp_path, capsys):
     write_marks_csv(src, [(0.4, 0.2, 0.9)])
     assert main(["detect", "--in", str(src)]) == 0
     assert data_rows(capsys.readouterr().out) == ["1,1,1,1,111"]
+
+
+def _detect_inputs():
+    rng = np.random.default_rng(20)
+    uniform = rng.random((3000, 3))
+    x = rng.random(2000)
+    anti = np.column_stack([x, np.clip(1.0 - x + rng.normal(0.0, 1e-3, 2000), 0.0, 1.0)])
+    # two-decimal grid: many exact repeats and ties in one coordinate
+    tied = np.round(rng.random((1500, 2)), 2)
+    return {"uniform3": uniform, "anti2": anti, "tied2": tied}
+
+
+@pytest.mark.parametrize("label", ["uniform3", "anti2", "tied2"])
+def test_detect_matches_the_oracle_on_larger_inputs(tmp_path, label):
+    marks = [tuple(row) for row in _detect_inputs()[label].tolist()]
+    src, out = tmp_path / "marks.csv", tmp_path / "flags.csv"
+    write_marks_csv(src, marks)
+    assert main(["detect", "--in", str(src), "--out", str(out)]) == 0
+    expected = [
+        f"{i},{int(chain)},{int(weak)},{int(strong)},{''.join(str(int(m)) for m in marginal)}"
+        for i, (chain, weak, strong, marginal) in enumerate(oracle_flags(marks), 1)
+    ]
+    assert data_rows(out.read_text()) == expected
+
+
+def test_detect_decreasing_marks_are_records_of_every_kind(tmp_path):
+    # each mark beats the one before: a record of every kind at every index
+    n = 20_000
+    marks = [(x, x) for x in np.linspace(0.99, 0.01, n).tolist()]
+    src, out = tmp_path / "marks.csv", tmp_path / "flags.csv"
+    write_marks_csv(src, marks)
+    assert main(["detect", "--in", str(src), "--out", str(out)]) == 0
+    assert data_rows(out.read_text()) == [f"{i},1,1,1,11" for i in range(1, n + 1)]
 
 
 @pytest.mark.parametrize(

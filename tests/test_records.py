@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chainrec import records
 from chainrec.records import (
     RecordDetector,
     chain_record_indices,
@@ -168,6 +169,42 @@ def test_classify_rejects_empty_and_mixed_dims():
         classify_sequence([(0.1, 0.2), (0.1, 0.2, 0.3)])
 
 
+def test_ragged_input_names_the_first_bad_index():
+    ragged = [(0.5, 0.5), (0.4, 0.6), (0.1, 0.2, 0.3), (0.2, 0.2)]
+    message = "dimension mismatch at index 3: got 3, expected 2"
+    with pytest.raises(ValueError, match=message):
+        classify_sequence(ragged)
+    det = RecordDetector(2)
+    det.process(ragged[0])
+    with pytest.raises(ValueError, match=message):
+        det.extend(ragged[1:])
+    det.process(ragged[1])
+    with pytest.raises(ValueError, match=message):
+        det.process(ragged[2])
+    # a rejected mark leaves the stream state as it was
+    assert det.index == 2 and det.counts.weak == 2
+    assert det.process(ragged[3]).index == 3
+
+
+def test_extend_of_no_marks_changes_nothing():
+    det = RecordDetector(3)
+    assert det.extend([]).shape == (0, 6)
+    assert det.index == 0 and det.last_chain_record is None
+    assert det.process((0.5, 0.5, 0.5)).chain
+
+
+def test_ties():
+    # a duplicate of the last record is a record of no kind
+    (_, dup) = classify_sequence([(0.5, 0.5), (0.5, 0.5)])
+    assert not (dup.chain or dup.weak or dup.strong or any(dup.marginal))
+    # one strict coordinate is enough for a chain record, not for a strong one
+    (_, step) = classify_sequence([(0.5, 0.5), (0.5, 0.3)])
+    assert step.chain and step.weak and not step.strong and step.marginal == (False, True)
+    # a front point tied in one coordinate and lower in the other blocks weak
+    flags = classify_sequence([(0.2, 0.8), (0.8, 0.2), (0.2, 0.9), (0.9, 0.2)])
+    assert [f.weak for f in flags] == [True, True, False, False]
+
+
 def test_counts_match_flag_totals():
     gen = make_stream(2024, 1)
     marks = [tuple(row) for row in gen.random((200, 3))]
@@ -257,6 +294,37 @@ def test_prefix_permutation_preserves_nonchain_flags(marks, data):
     assert base.weak == perm.weak
     assert base.strong == perm.strong
     assert base.marginal == perm.marginal
+
+
+@pytest.mark.parametrize("budget", [1, 40])
+@given(mark_lists(), st.data())
+def test_any_split_into_calls_matches_one_call(budget, marks, data):
+    # tiny block budgets put block boundaries between most marks
+    whole = RecordDetector(len(marks[0]))
+    whole.extend(marks)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(marks)), max_size=6)))
+    det = RecordDetector(len(marks[0]))
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(records, "_BLOCK_BUDGET", budget)
+        for lo, hi in zip([0, *cuts], [*cuts, len(marks)]):
+            if data.draw(st.booleans()):
+                got.extend(det.extend(marks[lo:hi]).tolist())
+            else:
+                got.extend(
+                    [f.chain, f.weak, f.strong, *f.marginal]
+                    for f in map(det.process, marks[lo:hi])
+                )
+    rows = [(r[0], r[1], r[2], tuple(r[3:])) for r in got]
+    assert rows == [(f.chain, f.weak, f.strong, f.marginal) for f in classify_sequence(marks)]
+    assert rows == oracle_flags(marks)
+    assert det.counts == whole.counts
+    assert det.counts.weak == sum(r[1] for r in got)
+    assert det.pareto_front == whole.pareto_front
+    # the front holds each minimal point once, in order of first arrival
+    assert det.pareto_front == tuple(sorted(brute_minimal_set(marks), key=marks.index))
+    assert det.last_chain_record == whole.last_chain_record
+    assert det.component_mins == whole.component_mins
 
 
 def test_front_matches_brute_force_on_long_random_sequence():

@@ -42,6 +42,7 @@ from chainrec.exact import (
     stationary_density,
     strong_record_prob,
     weak_record_prob,
+    weak_record_prob_table,
 )
 from chainrec.rng import make_stream, stream_id
 from chainrec.samplers import (
@@ -123,5 +124,6 @@ __all__ = [
     "strong_record_prob",
     "two_sample_test",
     "weak_record_prob",
+    "weak_record_prob_table",
     "__version__",
 ]

@@ -109,7 +109,12 @@ def _meta_dict(command: str, seed, config: dict) -> dict:
 # detect
 
 
-def _read_marks_csv(path: str) -> list[tuple[float, ...]]:
+def _read_marks_csv(path: str) -> np.ndarray:
+    """The marks of a CSV with header ``x1,...,xd``, as an ``(m, d)`` array.
+
+    A body of mark rows alone is parsed in one pass.  Any other body is
+    scanned line by line, which also names the line of an error.
+    """
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -128,6 +133,14 @@ def _read_marks_csv(path: str) -> list[tuple[float, ...]]:
                     f"{path}: line {lineno}: header must be x1,...,xd, got {raw!r}"
                 )
             dim = len(parts)
+            body = lines[lineno:]
+            if all(row.count(",") == dim - 1 for row in body):
+                try:
+                    flat = np.array(",".join(body).split(","), dtype=float)
+                except ValueError:  # a blank, comment or non-numeric line
+                    continue
+                if ((flat >= 0.0) & (flat <= 1.0)).all():
+                    return flat.reshape(-1, dim)
             continue
         if len(parts) != dim:
             raise ValueError(
@@ -145,16 +158,16 @@ def _read_marks_csv(path: str) -> list[tuple[float, ...]]:
         raise ValueError(f"{path}: missing header row x1,...,xd")
     if not marks:
         raise ValueError(f"{path}: no marks after the header")
-    return marks
+    return np.array(marks, dtype=float)
 
 
 def _cmd_detect(args, config) -> int:
     input_path = _opt(args, config, "in", str, required=True)
     want_dim = _opt(args, config, "d", int)
     marks = _read_marks_csv(input_path)
-    if want_dim is not None and len(marks[0]) != want_dim:
-        raise ValueError(f"input has dimension {len(marks[0])}, expected --d {want_dim}")
-    d = len(marks[0])
+    d = marks.shape[1]
+    if want_dim is not None and d != want_dim:
+        raise ValueError(f"input has dimension {d}, expected --d {want_dim}")
     flags = RecordDetector(d).extend(marks)
     # each row after its index is ",c,w,s,m1..md": one code point per cell
     cells = np.full((len(marks), 7 + d), ord(","), dtype=np.uint32)
@@ -178,9 +191,7 @@ def _cmd_exact(args, config) -> int:
     n_max = _opt(args, config, "n", int, required=True)
     n_cap = _opt(args, config, "n-cap", int, default=exact.DEFAULT_N_CAP)
     chain = exact.chain_record_prob_table(d, n_max, n_cap=n_cap)
-    weak_counts = exact.expected_weak_count_table(d, n_max, n_cap=n_cap)
-    running_chain = Fraction(0)
-    running_strong = Fraction(0)
+    weak = exact.weak_record_prob_table(d, n_max, n_cap=n_cap)
     header = (
         "n,p_exact_fraction,p_exact_decimal15,"
         "p_strong_fraction,p_strong_decimal15,p_weak_fraction,p_weak_decimal15,"
@@ -191,25 +202,14 @@ def _cmd_exact(args, config) -> int:
         _meta_comment("exact", "-", {"d": d, "n": n_max, "n_cap": n_cap}),
         header,
     ]
-    previous_weak = Fraction(0)
+    # expected counts are running sums of the probabilities (linearity)
+    expected = [Fraction(0)] * 3
     for n in range(1, n_max + 1):
-        strong = exact.strong_record_prob(d, n)
-        running_chain += chain[n - 1]
-        running_strong += strong
-        # by linearity, p_weak(n) = E[weak count up to n] - E[... up to n-1]
-        weak = weak_counts[n - 1] - previous_weak
-        previous_weak = weak_counts[n - 1]
+        probs = (chain[n - 1], exact.strong_record_prob(d, n), weak[n - 1])
+        expected = [e + p for e, p in zip(expected, probs)]
         cells = [str(n)]
-        for q in (
-            chain[n - 1],
-            strong,
-            weak,
-            running_chain,
-            running_strong,
-            weak_counts[n - 1],
-        ):
-            cells.append(str(q))
-            cells.append(exact.format_decimal15(q))
+        for q in (*probs, *expected):
+            cells += [str(q), exact.format_decimal15(q)]
         lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", _resolve_out(args.out))
     return 0

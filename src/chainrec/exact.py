@@ -1,11 +1,15 @@
 """Record probabilities, expected counts and limit moments, exactly.
 
-The per-index record probabilities are alternating binomial sums that
-cancel catastrophically in double precision (visibly wrong near n = 60),
-so everything with a closed form is computed in exact rational arithmetic.
-The continuous-argument moment function is an alternating series whose
-intermediate terms reach ~exp(t); it is evaluated in arbitrary-precision
-decimals with the working precision chosen from that a-priori bound.
+The per-index chain and weak record probabilities are binomial transforms
+``p_n = sum_k (-1)^k C(n-1, k) a_k`` that cancel catastrophically in double
+precision (visibly wrong near n = 60).  Over one common integer
+denominator, p_1..p_N are the heads of the rows of one finite-difference
+table of the a_k (the discrete side of Rice's integrals; Flajolet &
+Sedgewick, TCS 1995), so each table is built in exact rational arithmetic
+from O(N^2) integer subtractions.  The continuous-argument moment function
+is an alternating series whose intermediate terms reach ~exp(t); it is
+evaluated in the standard library's arbitrary-precision decimals, with the
+working precision chosen from that a-priori bound.
 
 Resource ceilings (``n_cap``, ``max_digits``) are hard errors, never a
 silent fall back to floating point.
@@ -16,9 +20,6 @@ from __future__ import annotations
 import math
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from functools import lru_cache
-
-import mpmath
 
 DEFAULT_N_CAP = 500
 DEFAULT_DIGIT_CEILING = 10_000
@@ -56,46 +57,24 @@ def mellin(d: int, lam) -> Fraction:
     return (lam + 1) ** (-d)
 
 
-def _factorials(n: int) -> list[int]:
-    out = [1] * (n + 1)
-    for i in range(2, n + 1):
-        out[i] = out[i - 1] * i
-    return out
+def _binomial_transform(numerators: list[int], denominator: int) -> tuple[Fraction, ...]:
+    """Every ``p_{m+1} = sum_k (-1)^k C(m, k) a_k``, m < N, with a_k = numerators[k] / denominator.
+
+    ``p_{m+1}`` heads row m of the difference table of the ``a_k``: O(N^2)
+    integer subtractions and one ``Fraction`` per row.
+    """
+    b = list(numerators)
+    out = []
+    for m in range(len(b)):
+        out.append(Fraction(b[0], denominator))
+        for k in range(len(b) - 1 - m):
+            b[k] -= b[k + 1]
+    return tuple(out)
 
 
 def chain_record_prob(d: int, n: int, *, n_cap: int = DEFAULT_N_CAP) -> Fraction:
     """Exact probability that the mark at index n is a chain record."""
-    _check_dim(d)
-    _check_n(n, n_cap)
-    if n == 1:
-        return Fraction(1)
-    fact = _factorials(n)
-    # Accumulate over the common denominator (n!)**d: one gcd at the end
-    # instead of one per term.
-    acc = 0
-    surv = 1  # integer numerator of prod_{j=2}^{k+1} (j**d - 1)
-    for k in range(n):
-        if k:
-            surv *= (k + 1) ** d - 1
-        term = math.comb(n - 1, k) * surv * (fact[n] // fact[k + 1]) ** d
-        acc = acc - term if k % 2 else acc + term
-    return Fraction(acc, fact[n] ** d)
-
-
-@lru_cache(maxsize=32)
-def _chain_prob_table(d: int, n_max: int) -> tuple[Fraction, ...]:
-    fact = _factorials(n_max)
-    surv = [1] * n_max
-    for k in range(1, n_max):
-        surv[k] = surv[k - 1] * ((k + 1) ** d - 1)
-    out = [Fraction(1)]
-    for n in range(2, n_max + 1):
-        acc = 0
-        for k in range(n):
-            term = math.comb(n - 1, k) * surv[k] * (fact[n] // fact[k + 1]) ** d
-            acc = acc - term if k % 2 else acc + term
-        out.append(Fraction(acc, fact[n] ** d))
-    return tuple(out)
+    return chain_record_prob_table(d, n, n_cap=n_cap)[n - 1]
 
 
 def chain_record_prob_table(
@@ -104,7 +83,12 @@ def chain_record_prob_table(
     """Chain-record probabilities for n = 1..n_max (index i holds n = i+1)."""
     _check_dim(d)
     _check_n(n_max, n_cap)
-    return _chain_prob_table(d, n_max)
+    # (n_max!)**d * prod_{j=2}^{k+1} (1 - j**-d) = prod_{j<=k+1} (j**d - 1) * prod_{j>k+1} j**d;
+    # from k = n_max-1 down, each step trades one factor j**d - 1 for j**d
+    numerators = [math.prod(j**d - 1 for j in range(2, n_max + 1))]
+    for j in range(n_max, 1, -1):
+        numerators.append(numerators[-1] // (j**d - 1) * j**d)
+    return _binomial_transform(numerators[::-1], math.factorial(n_max) ** d)
 
 
 def strong_record_prob(d: int, n: int) -> Fraction:
@@ -116,15 +100,19 @@ def strong_record_prob(d: int, n: int) -> Fraction:
 
 
 def weak_record_prob(d: int, n: int, *, n_cap: int = DEFAULT_N_CAP) -> Fraction:
-    """Exact probability of a weak record at index n (alternating sum)."""
+    """Exact probability of a weak record at index n."""
+    return weak_record_prob_table(d, n, n_cap=n_cap)[n - 1]
+
+
+def weak_record_prob_table(
+    d: int, n_max: int, *, n_cap: int = DEFAULT_N_CAP
+) -> tuple[Fraction, ...]:
+    """Weak-record probabilities for n = 1..n_max (index i holds n = i+1)."""
     _check_dim(d)
-    _check_n(n, n_cap)
-    fact = _factorials(n)
-    acc = 0
-    for k in range(n):
-        term = math.comb(n - 1, k) * (fact[n] // (k + 1)) ** d
-        acc = acc - term if k % 2 else acc + term
-    return Fraction(acc, fact[n] ** d)
+    _check_n(n_max, n_cap)
+    # a_k = (k+1)**-d over the common denominator lcm(1..n_max)**d
+    lcm = math.lcm(*range(1, n_max + 1))
+    return _binomial_transform([(lcm // (k + 1)) ** d for k in range(n_max)], lcm**d)
 
 
 def expected_strong_count(d: int, n: int) -> Fraction:
@@ -203,14 +191,16 @@ def moment_series(
             f"t={t} needs ~{digits} working digits (> ceiling {max_digits}); "
             f"use the asymptotic value t**-beta * limit_moment(d, beta) instead"
         )
-    with mpmath.workdps(digits):
-        tm = mpmath.mpf(t)
-        term = mpmath.mpf(1)
-        total = mpmath.mpf(1)
-        cut = mpmath.mpf(10) ** (-(digits - 10))
+    with localcontext() as ctx:
+        ctx.prec = digits
+        tm = Decimal(t)
+        term = total = Decimal(1)
+        cut = Decimal(1).scaleb(-(digits - 10))
         k = 1
         while True:
-            term *= (-tm / k) * (1 - mpmath.mpf(k + beta) ** (-d))
+            # term *= (-t/k) * (1 - (k+beta)**-d), as one exact-integer ratio
+            power = (k + beta) ** d
+            term = term * -tm * (power - 1) / (k * power)
             total += term
             if k >= t and abs(term) < cut:
                 break

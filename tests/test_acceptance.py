@@ -5,9 +5,12 @@ capture, so the lines always appear in the terminal).  Tolerances are
 pinned inside :mod:`chainrec.verify`; nothing here loosens them.
 """
 
-import pytest
+from itertools import product
 
-from chainrec import verify
+import pytest
+import scipy.integrate
+
+from chainrec import exact, verify
 from chainrec.cli import main
 
 CRITERIA = list(verify.CRITERIA)
@@ -43,3 +46,13 @@ def test_cli_child_runs_the_callers_package(tmp_path, monkeypatch):
     here = tmp_path / "here.csv"
     assert main(["exact", "--d", "2", "--n", "6", "--out", str(here)]) == 0
     assert child.read_bytes() == here.read_bytes()
+
+
+@pytest.mark.parametrize("d, beta, t", list(product((1, 2), (1, 2), (0.5, 1.0, 2.0))))
+def test_c05_laguerre_integral_matches_adaptive_quadrature(d, beta, t):
+    # the integral in s on (0, 1] that the Gauss-Laguerre rule replaced
+    def integrand(s):
+        return s**beta * exact.moment_series(d, beta, t * s) * exact.height_factor_density(d, s)
+
+    reference, _ = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    assert abs(verify._renewal_integral(d, beta, t) - reference) < 1e-10

@@ -11,7 +11,7 @@ import pytest
 
 import chainrec
 from chainrec import exact, verify
-from chainrec.cli import main
+from chainrec.cli import _read_marks_csv, main
 
 from conftest import ELEVEN_POINT_CHAIN, ELEVEN_POINT_MARKS, FOUR_POINT_MARKS
 from test_records import oracle_flags
@@ -112,6 +112,41 @@ def test_detect_bad_input(tmp_path, capsys, body, fragment):
     src.write_text(body)
     assert main(["detect", "--in", str(src)]) == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("0.1,0.2,0.3", "expected 2 coordinates, got 3"),
+        # two ragged lines whose cells still fill whole rows
+        ("0.1,0.2,0.3\n0.4", "expected 2 coordinates, got 3"),
+        ("0.1,oops", "non-numeric coordinate"),
+        ("0.1,1.5", "coordinate 1.5 outside [0, 1]"),
+        ("nan,0.2", "coordinate nan outside [0, 1]"),
+    ],
+)
+def test_detect_names_a_bad_line_deep_in_a_large_file(tmp_path, capsys, bad, message):
+    marks = np.random.default_rng(7).random((50_000, 2))
+    lines = ["x1,x2", *(",".join(map(repr, row)) for row in marks.tolist())]
+    lines[39_999] = bad  # line 40,000 of the file
+    src = tmp_path / "bad.csv"
+    src.write_text("\n".join(lines) + "\n")
+    assert main(["detect", "--in", str(src)]) == 1
+    assert f"line 40000: {message}" in capsys.readouterr().err
+
+
+def test_marks_csv_one_pass_parse_equals_the_line_scan(tmp_path):
+    marks = np.random.default_rng(8).random((2000, 3))
+    rows = [",".join(map(repr, row)) for row in marks.tolist()]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("x1,x2,x3\n" + "\n".join(rows) + "\n")
+    # comments, a blank line and padded cells are valid, but only the line
+    # scan accepts them
+    padded = tmp_path / "padded.csv"
+    padded.write_text("# marks\nx1, x2, x3\n" + "\n".join(rows[:1000]) + "\n\n# half\n"
+                      + "\n".join(r.replace(",", " , ") for r in rows[1000:]) + "\n")
+    assert np.array_equal(_read_marks_csv(str(plain)), marks)
+    assert np.array_equal(_read_marks_csv(str(padded)), marks)
 
 
 def test_detect_dimension_check(tmp_path, capsys):
@@ -423,7 +458,7 @@ def test_verify_tolerance_override_can_force_failure(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# scipy is loaded only where a statistical test or a quadrature runs
+# scipy is loaded only where a statistical test runs; nothing needs mpmath
 
 _IMPORT_SPLIT_SCRIPT = """
 import sys
@@ -445,32 +480,51 @@ for argv in (
     ["simulate", "--what", "chain-count", "--method", "sojourn", "--d", "2",
      "--n", "100", "--replicates", "20", "--seed", "1"],
     ["limits", "--kind", "y", "--d", "2", "--replicates", "20", "--seed", "1"],
+    ["verify", "--suite", "exact"],
 ):
     assert main([*argv, "--out", str(work / argv[0])]) == 0, argv
     assert not scipy_modules(), (argv[0], scipy_modules()[:3])
 
-from chainrec import stats, verify
+from chainrec import stats
 assert stats.two_sample_test([0, 1, 1, 2] * 20, [1, 0, 2, 1] * 20, kind="chisq").kind == "chisq"
 assert "scipy.stats" not in sys.modules, "the chi-square tail loaded scipy.stats"
 assert stats.two_sample_test([0.1, 0.5, 0.9], [0.2, 0.6, 0.7], kind="ks").kind == "ks"
 assert "scipy.stats" in sys.modules
-assert all(r.passed for r in verify.c05_renewal_equation(verify.DEFAULT_SEED, {}))
-assert "scipy.stats" in sys.modules and "scipy.integrate" in sys.modules
+print("ok")
+"""
+
+_NO_MPMATH_SCRIPT = """
+import sys
+from pathlib import Path
+
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+from chainrec.cli import main
+work = Path(sys.argv[1])
+assert main(["exact", "--d", "3", "--n", "40", "--out", str(work / "exact.csv")]) == 0
+assert main(["verify", "--suite", "exact", "--out", str(work / "verify")]) == 0
 print("ok")
 """
 
 
-def test_commands_without_tests_do_not_load_scipy(tmp_path):
+def _run_fresh(script, tmp_path):
     # a fresh interpreter: this one has imported scipy already
     import_root = str(Path(chainrec.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [import_root, inherited])))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_SPLIT_SCRIPT, str(tmp_path)],
+        [sys.executable, "-c", script, str(tmp_path)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_commands_without_tests_do_not_load_scipy(tmp_path):
+    _run_fresh(_IMPORT_SPLIT_SCRIPT, tmp_path)
+
+
+def test_exact_commands_run_without_mpmath(tmp_path):
+    _run_fresh(_NO_MPMATH_SCRIPT, tmp_path)

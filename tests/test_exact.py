@@ -14,6 +14,7 @@ from chainrec.exact import (
     expected_chain_count,
     expected_strong_count,
     expected_weak_count,
+    expected_weak_count_table,
     format_decimal15,
     height_factor_cdf,
     height_factor_density,
@@ -24,6 +25,7 @@ from chainrec.exact import (
     stationary_density,
     strong_record_prob,
     weak_record_prob,
+    weak_record_prob_table,
 )
 
 
@@ -99,9 +101,9 @@ def test_chain_prob_frozen_values():
 
 
 def test_chain_prob_matches_naive_fraction_route():
-    for d in range(1, 5):
-        table = chain_record_prob_table(d, 40)
-        for n in range(1, 41):
+    for d in range(1, 7):
+        table = chain_record_prob_table(d, 80)
+        for n in range(1, 81):
             assert table[n - 1] == naive_chain_prob(d, n)
             assert table[n - 1] == chain_record_prob(d, n)
 
@@ -120,9 +122,21 @@ def test_strong_prob():
 def test_weak_prob():
     assert weak_record_prob(1, 4) == Fraction(1, 4)
     assert weak_record_prob(5, 1) == 1
-    for d in range(1, 5):
-        for n in range(1, 30):
-            assert weak_record_prob(d, n) == naive_weak_prob(d, n)
+    for d in range(1, 7):
+        table = weak_record_prob_table(d, 80)
+        for n in range(1, 81):
+            assert table[n - 1] == naive_weak_prob(d, n)
+            assert table[n - 1] == weak_record_prob(d, n)
+
+
+def test_weak_prob_table_sums_to_the_harmonic_recursion():
+    # two independent routes: the difference table of (k+1)**-d and the
+    # iterated-harmonic recursion for the expected weak count
+    for d in (2, 3):
+        running = Fraction(0)
+        for p, expected in zip(weak_record_prob_table(d, 300), expected_weak_count_table(d, 300)):
+            running += p
+            assert running == expected
 
 
 def test_weak_prob_is_classical_at_dimension_one():
@@ -150,6 +164,8 @@ def test_cap_is_enforced_and_configurable():
     assert chain_record_prob(1, 501, n_cap=501) == Fraction(1, 501)
     with pytest.raises(CapExceededError):
         weak_record_prob(2, 501)
+    with pytest.raises(CapExceededError):
+        weak_record_prob_table(2, 501)
     with pytest.raises(ValueError):
         chain_record_prob(2, 0)
 
@@ -171,8 +187,6 @@ def test_expected_weak_count_matches_enumeration():
 
 
 def test_expected_weak_count_table_matches_pointwise():
-    from chainrec.exact import expected_weak_count_table
-
     table = expected_weak_count_table(3, 15)
     assert len(table) == 15
     for n in range(1, 16):
@@ -200,6 +214,31 @@ def test_moment_series_closed_form_dimension_one():
     for t in (0.25, 1.0, 2.0, 7.5, 30.0):
         assert abs(moment_series(1, 1, t) - (1 - math.exp(-t)) / t) < 1e-12
     assert abs(moment_series(1, 1, 1.0) - 0.6321205588285577) < 1e-12
+
+
+# (d, beta, t, value) computed by the arbitrary-precision series at the
+# same working precision before it moved to the standard decimal module
+MOMENT_SERIES_FROZEN = [
+    (1, 1, 0.5, 0.7869386805747332),
+    (1, 2, 30.0, 0.002222222222215776),
+    (1, 3, 1000.0, 6e-09),
+    (2, 1, 2.0, 0.28383382080915315),
+    (2, 1, 200.0, 0.0025),
+    (2, 2, 10.0, 0.006693603958325741),
+    (2, 3, 0.1, 0.9106076689239772),
+    (3, 1, 1.0, 0.43650718460390997),
+    (3, 1, 200.0, 0.0016671619342738854),
+    (3, 2, 30.0, 0.00041732273138506636),
+    (3, 3, 500.0, 6.332151356289607e-09),
+    (5, 1, 5.0, 0.02719124363321192),
+    (5, 2, 100.0, 2.090419791315674e-05),
+    (5, 3, 1000.0, 4.248147041893858e-10),
+]
+
+
+@pytest.mark.parametrize("d, beta, t, value", MOMENT_SERIES_FROZEN)
+def test_moment_series_frozen_values(d, beta, t, value):
+    assert moment_series(d, beta, t) == value
 
 
 def test_moment_series_nonincreasing():

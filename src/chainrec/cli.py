@@ -82,12 +82,15 @@ def _resolve_out(out: str | None) -> Path | None:
     return path
 
 
-def _emit(text: str, path: Path | None) -> None:
+def _emit(text, path: Path | None) -> None:
+    """Write ``text``, one string or an iterable of strings, to ``path`` or stdout."""
+    parts = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        sys.stdout.writelines(parts)
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
+        fh.writelines(parts)
 
 
 def _meta_comment(command: str, seed, config: dict) -> str:
@@ -318,6 +321,20 @@ def _cmd_simulate(args, config) -> int:
 # limits
 
 
+_LINES_PER_WRITE = 1 << 16
+
+
+def _value_lines(header: str, values: np.ndarray):
+    """``header`` and one ``repr`` per value, a line each, in blocks of lines.
+
+    The text equals one join of all the lines; only one block of strings
+    is alive at a time.
+    """
+    yield header + "\n"
+    for lo in range(0, len(values), _LINES_PER_WRITE):
+        yield "\n".join(map(repr, values[lo : lo + _LINES_PER_WRITE].tolist())) + "\n"
+
+
 def _cmd_limits(args, config) -> int:
     kind = _opt(args, config, "kind", str, required=True)
     d = _opt(args, config, "d", int, required=True)
@@ -331,9 +348,9 @@ def _cmd_limits(args, config) -> int:
             d, replicates, tolerance=tol, seed=seed,
             label=f"limits:y:d={d}:tol={tol}", workers=workers,
         )
-        lines = [_meta_comment("limits", seed, {"kind": "y", "d": d, "replicates": replicates,
-                                                "truncation_tol": tol})]
-        lines.extend(repr(float(v)) for v in values)
+        header = _meta_comment("limits", seed, {"kind": "y", "d": d, "replicates": replicates,
+                                                "truncation_tol": tol})
+        _emit(_value_lines(header, values), _resolve_out(args.out))
     elif kind == "window":
         window_arg = _opt(args, config, "window", str, required=True)
         try:
@@ -349,9 +366,9 @@ def _cmd_limits(args, config) -> int:
             "xi,sigma",
         ]
         lines.extend(f"{xi!r},{sigma!r}" for xi, sigma in window.points)
+        _emit("\n".join(lines) + "\n", _resolve_out(args.out))
     else:
         raise ValueError(f"unknown --kind {kind!r}; choose y or window")
-    _emit("\n".join(lines) + "\n", _resolve_out(args.out))
     return 0
 
 

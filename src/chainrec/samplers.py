@@ -29,6 +29,7 @@ from chainrec.rng import make_stream, stream_id
 
 _CHUNK_BUDGET = 1 << 24  # doubles per chunk: bounds the chunk size of the array kernels
 _SUB_BLOCK = 1 << 22  # doubles drawn at once inside one direct-detection chunk
+_TILE = 64  # mark indices per contiguous tile of the direct kernel
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +167,15 @@ def _direct_scan(rng, d, max_marks, max_records, block_size=1 << 16):
             i = 1
         while i < m and len(times) < max_records:
             sub = block[i:]
-            mask = (sub <= rec).all(axis=1) & (sub < rec).any(axis=1)
-            if not mask.any():
-                break
+            le = sub[:, 0] <= rec[0]
+            lt = sub[:, 0] < rec[0]
+            for c in range(1, d):
+                le &= sub[:, c] <= rec[c]
+                lt |= sub[:, c] < rec[c]
+            mask = le & lt
             j = int(mask.argmax())
+            if not mask[j]:
+                break
             rec = sub[j].copy()
             times.append(produced + i + j + 1)
             heights.append(float(rec.prod()))
@@ -390,6 +396,8 @@ def sample_limit_process(
     ``truncation_tol``.
     """
     s_lo, s_hi, t_hi = window
+    if d < 1:
+        raise ValueError("need d >= 1")
     if not 0 < s_lo < s_hi or t_hi <= 0:
         raise ValueError("window must satisfy 0 < s_lo < s_hi and t_hi > 0")
     if truncation_tol <= 0:
@@ -462,8 +470,25 @@ def _per_replicate(draw, dtype=np.int64):
     return lambda gen, m: np.array([draw(gen) for _ in range(m)], dtype=dtype)
 
 
+def _log_sum_rows(u):
+    """``np.log(u).sum(axis=1)`` for an (m, d) array, bit for bit.
+
+    Below 8 columns numpy adds a row's terms left to right, so adding whole
+    log columns gives the same doubles without a reduction over the short
+    axis.  From 8 columns numpy adds in pairwise blocks, which column adds
+    would not reproduce, so the reduction stays.
+    """
+    logs = np.log(u)
+    if u.shape[1] >= 8:
+        return logs.sum(axis=1)
+    total = logs[:, 0].copy()
+    for c in range(1, u.shape[1]):
+        total += logs[:, c]
+    return total
+
+
 def _height_factor_column(gen, d, m):
-    return np.exp(np.log(gen.random((m, d))).sum(axis=1))
+    return np.exp(_log_sum_rows(gen.random((m, d))))
 
 
 def _direct_counts_chunk(gen, d, n, m):
@@ -471,8 +496,14 @@ def _direct_counts_chunk(gen, d, n, m):
 
     Returns the per-replicate counts and a (1, n) row whose entry j counts
     the replicates with a chain record at index j+1.  Replicates are drawn
-    in consecutive sub-blocks of at most ``_SUB_BLOCK`` doubles, which
-    consume the stream exactly as one (m, n, d) draw would.
+    in consecutive (k, n, d) sub-blocks of at most ``_SUB_BLOCK`` doubles
+    (32 MB), one alive at a time, which consume the stream exactly as one
+    (m, n, d) draw would.
+    Each sub-block is scanned in tiles of ``_TILE`` indices, transposed
+    to a contiguous (_TILE, d, k) copy, so that every per-index step
+    compares contiguous (d, k) rows and reduces over the d rows only.  A
+    tile holds at most _TILE/n of its sub-block: 2^31/n bytes, 2.1 MB at
+    n = 1000.
     """
     counts = np.ones(m, dtype=np.int64)
     totals = np.zeros((1, n), dtype=np.int64)
@@ -480,21 +511,24 @@ def _direct_counts_chunk(gen, d, n, m):
     step = max(1, _SUB_BLOCK // (n * d))
     for lo in range(0, m, step):
         u = gen.random((min(step, m - lo), n, d))
-        rec = u[:, 0, :].copy()
+        rec = u[:, 0, :].T.copy()
         block_counts = counts[lo : lo + len(u)]
-        for j in range(1, n):
-            x = u[:, j, :]
-            beat = (x <= rec).all(axis=1) & (x < rec).any(axis=1)
-            block_counts += beat
-            totals[0, j] += np.count_nonzero(beat)
-            rec[beat] = x[beat]
+        for t0 in range(0, n, _TILE):
+            tile = np.ascontiguousarray(u[:, t0 : t0 + _TILE, :].transpose(1, 2, 0))
+            for j in range(max(t0, 1), t0 + len(tile)):
+                x = tile[j - t0]
+                beat = (x <= rec).all(axis=0) & (x < rec).any(axis=0)
+                block_counts += beat
+                totals[0, j] += np.count_nonzero(beat)
+                np.copyto(rec, x, where=beat)
+        del u, tile  # free this sub-block before the next one is drawn
     return counts, totals
 
 
 def _sojourn_counts_chunk(gen, d, n, m):
     counts = np.ones(m, dtype=np.int64)
     t = np.ones(m, dtype=np.int64)
-    log_h = np.log(gen.random((m, d))).sum(axis=1)
+    log_h = _log_sum_rows(gen.random((m, d)))
     active = np.ones(m, dtype=bool)
     beyond = float(n + 1)
     while active.any():
@@ -509,7 +543,7 @@ def _sojourn_counts_chunk(gen, d, n, m):
         counts[landed] += 1
         t = np.where(active, t_new, t)
         active = landed
-        log_h += np.log(gen.random((m, d))).sum(axis=1)
+        log_h += _log_sum_rows(gen.random((m, d)))
     return counts
 
 
@@ -535,14 +569,14 @@ def _insertion_counts_chunk(gen, d, n, m):
 
 def _renewal_counts_chunk(gen, d, n, m):
     log_n = math.log(n)
-    x = -np.log(gen.random((m, d))).sum(axis=1)
+    x = -_log_sum_rows(gen.random((m, d)))
     counts = np.zeros(m, dtype=np.int64)
     while True:
         above = x < log_n
         if not above.any():
             return counts
         counts[above] += 1
-        x -= np.log(gen.random((m, d))).sum(axis=1)
+        x -= _log_sum_rows(gen.random((m, d)))
 
 
 def _poisson_paced_chunk(gen, d, t_end, b0, m):
@@ -576,8 +610,8 @@ def _limit_variable_chunk(gen, d, tolerance, m):
     while active.any():
         p = p * _height_factor_column(gen, d, m)
         e = gen.exponential(size=m)
-        y[active] += e[active] * p[active]
-        depth[active] += 1
+        np.add(y, e * p, out=y, where=active)
+        depth += active
         active &= p * tail_ratio >= tolerance
     return y, depth
 
@@ -657,6 +691,8 @@ def sample_chain_flag_totals(
     chain record; dividing by ``replicates`` estimates the per-index
     probability.
     """
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
     label = label or f"chain-flags:d={d}:n={n}"
     fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)[1]
     m = _clamped_chunk(chunk_size, n * d)
@@ -674,6 +710,8 @@ def sample_renewal_counts(
     workers: int = 1,
 ) -> np.ndarray:
     """Renewal counts: stick-breaking heights above 1/n, per replicate."""
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
     label = label or f"renewal-counts:d={d}:n={n}"
     fn = lambda gen, k: _renewal_counts_chunk(gen, d, n, k)
     return _run_chunked(fn, replicates, seed, label, chunk_size, workers)
@@ -691,6 +729,8 @@ def sample_poisson_paced_terminals(
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jump counts, path integrals and terminal states of the paced process."""
+    if d < 1 or t_horizon <= 0 or b0 <= 0:
+        raise ValueError("need d >= 1, t_horizon > 0 and b0 > 0")
     label = label or f"poisson-paced:d={d}:t={t_horizon}:b0={b0}"
     fn = lambda gen, k: _poisson_paced_chunk(gen, d, t_horizon, b0, k)
     return _run_chunked(fn, replicates, seed, label, chunk_size, workers)
@@ -707,6 +747,8 @@ def sample_limit_variables(
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Limit-variable draws plus the series stop index of each draw."""
+    if d < 1:
+        raise ValueError("need d >= 1")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     label = label or f"limit-variable:d={d}:tol={tolerance}"

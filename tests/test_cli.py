@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chainrec
-from chainrec import exact, verify
+from chainrec import cli, exact, samplers, verify
 from chainrec.cli import _read_marks_csv, main
 
 from conftest import ELEVEN_POINT_CHAIN, ELEVEN_POINT_MARKS, FOUR_POINT_MARKS
@@ -294,6 +294,14 @@ def test_simulate_missing_horizon(capsys):
          "replicates must be >= 1"),
         (["simulate", "--method", "direct", "--d", "2", "--n", "0", "--replicates", "3"],
          "need d >= 1 and n >= 1"),
+        (["limits", "--kind", "y", "--d", "0", "--replicates", "3"], "need d >= 1"),
+        (["limits", "--kind", "window", "--d", "0", "--window", "0.05,2.0,8.0"], "need d >= 1"),
+        (["simulate", "--what", "limit-variable", "--d", "0", "--replicates", "3"],
+         "need d >= 1"),
+        (["simulate", "--what", "poisson-count", "--d", "0", "--t", "1.0", "--replicates", "3"],
+         "need d >= 1, t_horizon > 0 and b0 > 0"),
+        (["simulate", "--what", "renewal-count", "--d", "2", "--n", "0", "--replicates", "3"],
+         "need d >= 1 and n >= 1"),
     ],
 )
 def test_invalid_sample_sizes_are_rejected(argv, message, tmp_path, capsys):
@@ -328,6 +336,20 @@ def test_limits_variable_samples(tmp_path):
     values = [float(v) for v in lines]
     assert len(values) == 4000
     assert abs(sum(values) / len(values) - 1.0) < 0.1
+
+
+def test_limits_y_block_writes_equal_one_join(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 7)  # 50 values: 7 full blocks and 1 value
+    args = ["limits", "--kind", "y", "--d", "2", "--replicates", "50", "--seed", "3"]
+    values, _ = samplers.sample_limit_variables(2, 50, seed=3, label="limits:y:d=2:tol=1e-06")
+    out = tmp_path / "y.txt"
+    assert main([*args, "--out", str(out)]) == 0
+    text = out.read_text()
+    header = text.split("\n", 1)[0]
+    assert header.startswith("# chainrec ")
+    assert text == "\n".join([header, *(repr(float(v)) for v in values)]) + "\n"
+    assert main(args) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_limits_window_csv(tmp_path):
@@ -506,6 +528,27 @@ print("ok")
 """
 
 
+# Unchecked, the renewal kernel never ends at d = 0 (every height factor is
+# 1) and the paced kernel never ends at b0 < 0 (time runs backwards), so
+# these run in a child process under _run_fresh's timeout.
+_ENDLESS_LOOP_SCRIPT = """
+import contextlib
+import io
+from chainrec.cli import main
+
+for argv, message in (
+    (["--what", "renewal-count", "--d", "0", "--n", "10"], "need d >= 1 and n >= 1"),
+    (["--what", "poisson-count", "--d", "2", "--t", "1.0", "--b0", "-1"],
+     "need d >= 1, t_horizon > 0 and b0 > 0"),
+):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", *argv, "--replicates", "5", "--seed", "1"])
+    assert (code, err.getvalue()) == (1, f"error: {message}\\n"), (argv, code, err.getvalue())
+print("ok")
+"""
+
+
 def _run_fresh(script, tmp_path):
     # a fresh interpreter: this one has imported scipy already
     import_root = str(Path(chainrec.__file__).resolve().parents[1])
@@ -528,3 +571,7 @@ def test_commands_without_tests_do_not_load_scipy(tmp_path):
 
 def test_exact_commands_run_without_mpmath(tmp_path):
     _run_fresh(_NO_MPMATH_SCRIPT, tmp_path)
+
+
+def test_drivers_that_would_loop_forever_reject_their_inputs(tmp_path):
+    _run_fresh(_ENDLESS_LOOP_SCRIPT, tmp_path)

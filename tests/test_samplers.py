@@ -98,6 +98,23 @@ def test_chain_counts_reject_an_empty_horizon(method):
         sample_chain_counts(method, 2, 0, 10, seed=SEED)
 
 
+# the renewal and paced drivers are checked through the CLI in
+# tests/test_cli.py, the inputs on which their loops never end in a child
+# process
+EMPTY_SIZES = {
+    "chain-flag-totals-d0": lambda: samplers.sample_chain_flag_totals(0, 10, 5, seed=SEED),
+    "chain-flag-totals-n0": lambda: samplers.sample_chain_flag_totals(2, 0, 5, seed=SEED),
+    "limit-variables-d0": lambda: sample_limit_variables(0, 5, seed=SEED),
+    "window-counts-d0": lambda: sample_window_counts(0, (0.25, 1.0, 4.0), 5, seed=SEED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_SIZES))
+def test_batch_drivers_reject_an_empty_dimension_or_horizon(case):
+    with pytest.raises(ValueError, match="need d >= 1"):
+        EMPTY_SIZES[case]()
+
+
 # ---------------------------------------------------------------------------
 # the height factor
 
@@ -185,6 +202,86 @@ def test_direct_kernel_sub_blocks_match_one_block_and_the_scalar_scan(monkeypatc
     assert one_block[0].tolist() == [len(times) for times in scans]
     flags = np.bincount([t - 1 for times in scans for t in times], minlength=n)
     assert one_block[1].tolist() == [flags.tolist()]
+
+
+class GridStream:
+    """Generator stub: the uniforms of ``gen`` floored to a grid of 4 values.
+
+    Draws consume ``gen`` exactly as the real uniforms would, and marks
+    tie in some coordinate at almost every comparison.
+    """
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def random(self, size):
+        return np.floor(self.gen.random(size) * 4) / 4
+
+
+def _stream(grid, key):
+    gen = make_stream(SEED, key)
+    return GridStream(gen) if grid else gen
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_tiled_direct_kernel_equals_the_scalar_scan(d, n, grid):
+    m = 40
+    counts, totals = samplers._direct_counts_chunk(_stream(grid, 35), d, n, m)
+    # replicate r of a chunk is the r-th scalar scan of the same stream
+    gen = _stream(grid, 35)
+    scans = [samplers._direct_scan(gen, d, n, n)[0] for _ in range(m)]
+    assert counts.tolist() == [len(times) for times in scans]
+    flags = np.bincount([t - 1 for times in scans for t in times], minlength=n)
+    assert totals.tolist() == [flags.tolist()]
+
+
+def _reduction_mask_scan(rng, d, max_marks, max_records, block_size=1 << 16):
+    """The direct scan with its mask built by reductions over each row: the oracle."""
+    times, heights = [], []
+    rec = None
+    produced = 0
+    grow = 1024
+    while produced < max_marks and len(times) < max_records:
+        m = min(grow, block_size, max_marks - produced)
+        grow *= 2
+        block = rng.random((m, d))
+        i = 0
+        if rec is None:
+            rec = block[0].copy()
+            times.append(1)
+            heights.append(float(rec.prod()))
+            i = 1
+        while i < m and len(times) < max_records:
+            sub = block[i:]
+            mask = (sub <= rec).all(axis=1) & (sub < rec).any(axis=1)
+            if not mask.any():
+                break
+            j = int(mask.argmax())
+            rec = sub[j].copy()
+            times.append(produced + i + j + 1)
+            heights.append(float(rec.prod()))
+            i += j + 1
+        produced += m
+    return times, heights, produced
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_direct_scan_equals_the_reduction_mask(d, grid):
+    for key in range(37, 47):
+        for max_marks, max_records, block_size in ((5000, 5000, 1 << 16), (3000, 3, 1 << 16),
+                                                   (2500, 2500, 100)):
+            args = (d, max_marks, max_records, block_size)
+            fast = samplers._direct_scan(_stream(grid, key), *args)
+            assert fast == _reduction_mask_scan(_stream(grid, key), *args)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_log_sum_rows_equals_the_numpy_row_sum_bit_for_bit(d):
+    u = make_stream(SEED, 38).random((5000, d))
+    assert samplers._log_sum_rows(u).tobytes() == np.log(u).sum(axis=1).tobytes()
 
 
 def test_log_transform_correspondence_on_simulated_marks():

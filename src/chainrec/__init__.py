@@ -47,20 +47,14 @@ from chainrec.exact import (
 from chainrec.rng import make_stream, stream_id
 from chainrec.samplers import (
     ChainRecordTrace,
-    HeightSequence,
     LimitProcessWindow,
-    PoissonPacedPath,
-    renewal_count,
     sample_chain_counts,
     sample_height_factor,
-    sample_height_sequence,
     sample_limit_process,
     sample_limit_variable,
     sample_limit_variables,
-    sample_stationary_height_factor,
     simulate_direct,
     simulate_insertion,
-    simulate_poisson_paced,
     simulate_sojourn,
 )
 from chainrec.stats import (
@@ -80,9 +74,7 @@ __all__ = [
     "ChainRecordTrace",
     "CltDiagnostics",
     "ExperimentSummary",
-    "HeightSequence",
     "LimitProcessWindow",
-    "PoissonPacedPath",
     "RecordDetector",
     "RecordFlags",
     "TestResult",
@@ -107,17 +99,13 @@ __all__ = [
     "moment_series",
     "poisson_weighted_chain_prob",
     "regression_slope",
-    "renewal_count",
     "sample_chain_counts",
     "sample_height_factor",
-    "sample_height_sequence",
     "sample_limit_process",
     "sample_limit_variable",
     "sample_limit_variables",
-    "sample_stationary_height_factor",
     "simulate_direct",
     "simulate_insertion",
-    "simulate_poisson_paced",
     "simulate_sojourn",
     "stationary_density",
     "stream_id",

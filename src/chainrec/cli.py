@@ -251,21 +251,18 @@ def _simulate_values(what, method, d, n, t, b0, trunc_tol, replicates, seed, wor
     raise ValueError(f"unknown estimand {what!r}")
 
 
-def _dump_traces(path: Path, method, d, n, replicates, seed) -> None:
-    simulate = {"direct": samplers.simulate_direct, "sojourn": samplers.simulate_sojourn}
-    if method not in simulate:
-        raise ValueError("--trace-out needs --method direct or sojourn")
+def _trace_lines(method, d, n, replicates, seed):
+    """The ``--trace-out`` CSV: a header, then one replicate's lines at a time."""
+    simulate = {"direct": samplers.simulate_direct, "sojourn": samplers.simulate_sojourn}[method]
     label = f"simulate:trace:{method}:d={d}:n={n}"
-    lines = [
-        _meta_comment("simulate", seed, {"trace": method, "d": d, "n": n, "replicates": replicates}),
-        "replicate,k,T_k,H_k",
-    ]
+    config = {"trace": method, "d": d, "n": n, "replicates": replicates}
+    yield _meta_comment("simulate", seed, config) + "\nreplicate,k,T_k,H_k\n"
     for i in range(replicates):
-        trace = simulate[method](make_stream(seed, stream_id(label), i), d, n)
-        for k, (tk, hk) in enumerate(zip(trace.record_times, trace.heights), 1):
-            lines.append(f"{i},{k},{tk},{hk!r}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+        trace = simulate(make_stream(seed, stream_id(label), i), d, n)
+        yield "".join(
+            f"{i},{k},{tk},{hk!r}\n"
+            for k, (tk, hk) in enumerate(zip(trace.record_times, trace.heights), 1)
+        )
 
 
 def _cmd_simulate(args, config) -> int:
@@ -285,6 +282,12 @@ def _cmd_simulate(args, config) -> int:
         raise ValueError(f"--n is required for --what {what}")
     if what.startswith("poisson-") and t is None:
         raise ValueError(f"--t is required for --what {what}")
+    trace_out = _resolve_out(getattr(args, "trace_out", None))
+    if trace_out is not None:
+        if what != "chain-count":
+            raise ValueError("--trace-out needs --what chain-count")
+        if method not in ("direct", "sojourn"):
+            raise ValueError("--trace-out needs --method direct or sojourn")
 
     values = _simulate_values(what, method, d, n, t, b0, trunc_tol, replicates, seed, workers)
     # the worker count never changes results, so it is not part of the
@@ -312,8 +315,8 @@ def _cmd_simulate(args, config) -> int:
     else:
         _emit(json_text, out.with_name(out.name + ".json"))
         _emit(csv_text, out.with_name(out.name + ".csv"))
-    if getattr(args, "trace_out", None):
-        _dump_traces(_resolve_out(args.trace_out), method, d, n, replicates, seed)
+    if trace_out is not None:
+        _emit(_trace_lines(method, d, n, replicates, seed), trace_out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Random generation: marks, height factors, record traces and limits.
+"""Random generation: height factors, record traces and limit laws.
 
 Three simulators produce the chain-record count by different mechanisms
 and must agree in distribution:
@@ -8,6 +8,18 @@ and must agree in distribution:
   geometric sojourns between records, cost O(log(n)/d) records;
 * ``simulate_insertion``-- screen a uniform sequence and replace first
   hits below the current height, the partition-style counting oracle.
+
+Each law has one kernel, an array function of m replicates drawn from one
+generator (``_height_factor_column`` and the ``_*_chunk`` functions), and a
+scalar sampler is its kernel at m=1: ``simulate_insertion``, ``sample_limit_variable`` and
+``sample_height_factor``.  Two laws keep a second path, held equal to the
+first by tests.  Direct detection runs the block kernel
+``_direct_counts_chunk`` for batches up to n=4096 and the growing-block
+scan ``_direct_scan`` above that and for traces.  ``simulate_sojourn``
+walks its records in Python floats: through the array kernel a lone trace
+runs some fifteen distinct array operations, each slow to bring back into
+cache after other array work, which would cost the sojourn simulator its
+speed at large n.
 
 Scalar functions take a generator from :func:`chainrec.rng.make_stream`
 and are pure given that stream.  Every batch result -- the ``sample_*``
@@ -37,14 +49,6 @@ _TILE = 64  # mark indices per contiguous tile of the direct kernel
 
 
 @dataclass(frozen=True)
-class HeightSequence:
-    """Decreasing stick-breaking heights with their factor dimension."""
-
-    heights: tuple[float, ...]
-    dim: int
-
-
-@dataclass(frozen=True)
 class ChainRecordTrace:
     """Chain-record times and heights of one replicate up to ``horizon``."""
 
@@ -56,46 +60,6 @@ class ChainRecordTrace:
     @property
     def count(self) -> int:
         return len(self.record_times)
-
-
-@dataclass(frozen=True)
-class PoissonPacedPath:
-    """Piecewise-constant record-height path under Poisson pacing.
-
-    The state holds for an exponential time with rate equal to its value,
-    then jumps multiplicatively by a fresh height factor.
-    """
-
-    jump_times: tuple[float, ...]
-    heights_after_jump: tuple[float, ...]
-    horizon: float
-    initial_state: float
-
-    @property
-    def count(self) -> int:
-        return len(self.jump_times)
-
-    def state_at(self, t: float) -> float:
-        state = self.initial_state
-        for s, h in zip(self.jump_times, self.heights_after_jump):
-            if s > t:
-                break
-            state = h
-        return state
-
-    def height_integral(self, upto: float | None = None) -> float:
-        """Integral of the path from 0 to ``upto`` (default: the horizon)."""
-        end = self.horizon if upto is None else upto
-        total = 0.0
-        prev = 0.0
-        state = self.initial_state
-        for s, h in zip(self.jump_times, self.heights_after_jump):
-            if s > end:
-                break
-            total += state * (s - prev)
-            prev = s
-            state = h
-        return total + state * (end - prev)
 
 
 @dataclass(frozen=True)
@@ -115,32 +79,9 @@ class LimitProcessWindow:
 # scalar samplers
 
 
-def sample_marks(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    """n uniform marks in the d-cube, row per mark.
-
-    Draws exactly the uniforms that :func:`simulate_direct` consumes from
-    the same stream, in the same order.
-    """
-    return rng.random((n, d))
-
-
 def sample_height_factor(rng: np.random.Generator, d: int) -> float:
     """One height factor: the product of d independent uniforms."""
-    return float(rng.random(d).prod())
-
-
-def sample_height_sequence(rng: np.random.Generator, d: int, floor: float) -> HeightSequence:
-    """Stick-breaking heights extended until the sequence drops to ``floor``."""
-    if not 0 < floor < 1:
-        raise ValueError("floor must lie in (0, 1)")
-    heights = []
-    log_h = 0.0
-    while True:
-        log_h += float(np.log(rng.random(d)).sum())
-        h = math.exp(log_h)
-        heights.append(h)
-        if h <= floor:
-            return HeightSequence(tuple(heights), d)
+    return float(_height_factor_column(rng, d, 1)[0])
 
 
 def _direct_scan(rng, d, max_marks, max_records, block_size=1 << 16):
@@ -198,26 +139,6 @@ def simulate_direct(
     return ChainRecordTrace(tuple(times), tuple(heights), n, d)
 
 
-def simulate_direct_until(
-    rng: np.random.Generator,
-    d: int,
-    num_records: int,
-    *,
-    max_marks: int = 10**8,
-    block_size: int = 1 << 16,
-) -> ChainRecordTrace:
-    """Direct detection run until ``num_records`` chain records appear.
-
-    Record waiting times are heavy tailed, so a ``max_marks`` cap bounds
-    the run; a returned trace may then hold fewer records (callers decide
-    whether to discard such replicates).
-    """
-    if d < 1 or num_records < 1:
-        raise ValueError("need d >= 1 and num_records >= 1")
-    times, heights, produced = _direct_scan(rng, d, max_marks, num_records, block_size)
-    return ChainRecordTrace(tuple(times), tuple(heights), produced, d)
-
-
 def simulate_sojourn(rng: np.random.Generator, d: int, n: int) -> ChainRecordTrace:
     """Chain-record trace equal in law to the direct one, in O(log(n)/d).
 
@@ -249,109 +170,22 @@ def simulate_sojourn(rng: np.random.Generator, d: int, n: int) -> ChainRecordTra
     return ChainRecordTrace(tuple(times), tuple(heights), n, d)
 
 
-def _insertion_scan(rng, d, n):
-    """The screening scan of :func:`simulate_insertion`.
-
-    Returns the n screened uniforms, the heights that replaced terms (one
-    per replaced term, decreasing) and the log of the last height.
-    """
-    u = rng.random(n)
-    log_h = float(np.log(rng.random(d)).sum())
-    heights = [math.exp(log_h)]
-    for j in range(1, n):
-        if u[j] < heights[-1]:
-            log_h += float(np.log(rng.random(d)).sum())
-            heights.append(math.exp(log_h))
-    return u, heights, log_h
-
-
 def simulate_insertion(rng: np.random.Generator, d: int, n: int) -> int:
-    """Chain-record count by the screening/insertion construction.
-
-    Screens n uniforms; the first term is always replaced by the first
-    stick-breaking height, and afterwards every first hit below the
-    current height is replaced by the next one.  The number of replaced
-    terms equals the chain-record count in law.
-    """
+    """Chain-record count by insertion: :func:`_insertion_counts_chunk` at m=1."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    _, heights, _ = _insertion_scan(rng, d, n)
-    return len(heights)
-
-
-def renewal_count(heights, n: int) -> int:
-    """Number of heights above 1/n in a decreasing height sequence.
-
-    Accepts a :class:`HeightSequence`, a :class:`ChainRecordTrace` or a
-    plain sequence; the heights must already extend below 1/n.
-    """
-    hs = getattr(heights, "heights", heights)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    floor = 1.0 / n
-    if not hs or hs[-1] > floor:
-        raise ValueError("height sequence does not extend below 1/n; extend the stick-breaking")
-    return sum(1 for h in hs if h > floor)
-
-
-def simulate_poisson_paced(
-    rng: np.random.Generator, d: int, t_horizon: float, b0: float = 1.0
-) -> PoissonPacedPath:
-    """Path of the Poisson-paced height process up to ``t_horizon``.
-
-    From state b the process waits an exponential time with rate b, then
-    jumps to b times a fresh height factor.
-    """
-    if d < 1 or t_horizon <= 0 or b0 <= 0:
-        raise ValueError("need d >= 1, t_horizon > 0 and b0 > 0")
-    jumps: list[float] = []
-    states: list[float] = []
-    b = b0
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / b)
-        if t > t_horizon:
-            break
-        b *= sample_height_factor(rng, d)
-        jumps.append(t)
-        states.append(b)
-    return PoissonPacedPath(tuple(jumps), tuple(states), t_horizon, b0)
-
-
-def sample_stationary_height_factor(rng: np.random.Generator, d: int) -> float:
-    """Draw from the stationary law of the height stick-breaking chain.
-
-    Its negative log is Gamma(k, 1) with k uniform on {1..d}; the change
-    of variables gives exactly the density CDF(s)/(s*d) of the height
-    factor's equilibrium distribution.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    k = int(rng.integers(1, d + 1))
-    return math.exp(-float(rng.gamma(k)))
+    return int(_insertion_counts_chunk(rng, d, n, 1)[0])
 
 
 def sample_limit_variable(
     rng: np.random.Generator, d: int, tolerance: float = 1e-6
 ) -> float:
-    """One draw of the scaled record-height limit variable.
-
-    The variable is the series sum_k E_k * P_k with independent standard
-    exponentials E_k and P_k the running product of one stationary factor
-    followed by ordinary height factors.  The series stops once the
-    expected remainder P_k/(2^d - 1) drops below ``tolerance``.
-    """
+    """One limit-variable draw: :func:`_limit_variable_chunk` at m=1."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    tail_ratio = 1.0 / (2**d - 1)  # expected series remainder per unit of product
-    p = sample_stationary_height_factor(rng, d)
-    y = float(rng.exponential()) * p
-    while p * tail_ratio >= tolerance:
-        p *= sample_height_factor(rng, d)
-        y += float(rng.exponential()) * p
-    return y
+    return float(_limit_variable_chunk(rng, d, tolerance, 1)[0][0])
 
 
 def _straddle(rng, d):
@@ -365,18 +199,6 @@ def _straddle(rng, d):
     straddle = float(rng.gamma(d + 1))
     x0 = float(rng.random()) * straddle
     return x0 - straddle, x0
-
-
-def sample_stationary_height_pair(rng: np.random.Generator, d: int) -> tuple[float, float]:
-    """Heights straddling level 1 of the stationary multiplicative renewal grid.
-
-    Returns ``(above, at_or_below)`` with above > 1 and at_or_below in
-    (0, 1]; each has the equilibrium law on its side of the level.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    x_above, x_below = _straddle(rng, d)
-    return math.exp(-x_above), math.exp(-x_below)
 
 
 def sample_limit_process(
@@ -548,6 +370,13 @@ def _sojourn_counts_chunk(gen, d, n, m):
 
 
 def _insertion_counts_chunk(gen, d, n, m):
+    """The insertion kernel: chain-record counts of m replicates.
+
+    Screens n uniforms per replicate; the first term is always replaced by
+    the first stick-breaking height, and afterwards every first hit below
+    the current height is replaced by the next one.  The number of
+    replaced terms equals the chain-record count in law.
+    """
     u = gen.random((m, n))
     thresh = _height_factor_column(gen, d, m)
     counts = np.ones(m, dtype=np.int64)
@@ -601,6 +430,15 @@ def _poisson_paced_chunk(gen, d, t_end, b0, m):
 
 
 def _limit_variable_chunk(gen, d, tolerance, m):
+    """The limit-variable kernel: m draws and the series stop index of each.
+
+    The variable is the series sum_k E_k * P_k with independent standard
+    exponentials E_k and P_k the running product of one stationary factor
+    followed by ordinary height factors.  The stationary factor's negative
+    log is Gamma(k, 1) with k uniform on {1..d}, the equilibrium law of the
+    height stick-breaking chain.  The series stops once the expected
+    remainder P_k/(2^d - 1) drops below ``tolerance``.
+    """
     tail_ratio = 1.0 / (2**d - 1)
     shapes = gen.integers(1, d + 1, size=m)
     p = np.exp(-gen.gamma(shapes))
@@ -614,23 +452,6 @@ def _limit_variable_chunk(gen, d, tolerance, m):
         depth += active
         active &= p * tail_ratio >= tolerance
     return y, depth
-
-
-def _insertion_renewal(rng, d, n):
-    """``(count, renewal, below)`` of one insertion run.
-
-    ``renewal`` counts the run's stick-breaking heights above 1/n (the
-    sequence extended past the scan until it drops to 1/n) and ``below``
-    the screened uniforms under 1/n: a diagnostic for the sandwich
-    count <= renewal + below + 1.
-    """
-    u, heights, log_h = _insertion_scan(rng, d, n)
-    count = len(heights)
-    floor = 1.0 / n
-    while heights[-1] > floor:
-        log_h += float(np.log(rng.random(d)).sum())
-        heights.append(math.exp(log_h))
-    return count, sum(1 for h in heights if h > floor), int((u < floor).sum())
 
 
 def _clamped_chunk(chunk_size, doubles_per_item):
@@ -770,22 +591,4 @@ def sample_window_counts(
     """Point counts of independent limit-process draws in a fixed window."""
     label = label or f"window-counts:d={d}:window={window}:tol={truncation_tol}"
     fn = _per_replicate(lambda gen: sample_limit_process(gen, d, window, truncation_tol).count)
-    return _run_chunked(fn, replicates, seed, label, chunk_size, workers)
-
-
-def sample_insertion_renewal_diagnostics(
-    d: int,
-    n: int,
-    replicates: int,
-    *,
-    seed: int,
-    label: str | None = None,
-    chunk_size: int = 4096,
-    workers: int = 1,
-) -> np.ndarray:
-    """Coupled (count, renewal, below-1/n) triples from insertion runs."""
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
-    label = label or f"insertion-renewal:d={d}:n={n}"
-    fn = _per_replicate(lambda gen: _insertion_renewal(gen, d, n))
     return _run_chunked(fn, replicates, seed, label, chunk_size, workers)

@@ -4,8 +4,8 @@ Each criterion compares one computational route against an independent
 oracle -- a closed form, the exact rational engine, or another simulator
 of the same law -- and reports {value, target, tolerance, pass}.  Monte
 Carlo comparisons use 4 standard errors; families of distribution tests
-run at a Bonferroni-corrected 0.01.  scipy is imported only inside the
-statistical tests behind c06 and c11; the exact suite loads none.
+run at a Bonferroni-corrected 0.01.  No criterion needs scipy: c06 and c11
+run the chi-square test, whose tail is a closed form.
 """
 
 from __future__ import annotations

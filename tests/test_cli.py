@@ -302,9 +302,16 @@ def test_simulate_missing_horizon(capsys):
          "need d >= 1, t_horizon > 0 and b0 > 0"),
         (["simulate", "--what", "renewal-count", "--d", "2", "--n", "0", "--replicates", "3"],
          "need d >= 1 and n >= 1"),
+        (["simulate", "--what", "limit-variable", "--d", "2", "--replicates", "10",
+          "--trace-out", "t.csv"], "--trace-out needs --what chain-count"),
+        (["simulate", "--what", "poisson-count", "--d", "2", "--t", "1.0", "--replicates", "10",
+          "--trace-out", "t.csv"], "--trace-out needs --what chain-count"),
+        (["simulate", "--method", "insertion", "--d", "2", "--n", "10", "--replicates", "10",
+          "--trace-out", "t.csv"], "--trace-out needs --method direct or sojourn"),
     ],
 )
-def test_invalid_sample_sizes_are_rejected(argv, message, tmp_path, capsys):
+def test_invalid_sample_sizes_are_rejected(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative --trace-out would land here
     assert main([*argv, "--seed", "1", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
@@ -509,7 +516,7 @@ for argv in (
 
 from chainrec import stats
 assert stats.two_sample_test([0, 1, 1, 2] * 20, [1, 0, 2, 1] * 20, kind="chisq").kind == "chisq"
-assert "scipy.stats" not in sys.modules, "the chi-square tail loaded scipy.stats"
+assert not scipy_modules(), ("the chi-square test", scipy_modules()[:3])
 assert stats.two_sample_test([0.1, 0.5, 0.9], [0.2, 0.6, 0.7], kind="ks").kind == "ks"
 assert "scipy.stats" in sys.modules
 print("ok")
@@ -524,6 +531,25 @@ from chainrec.cli import main
 work = Path(sys.argv[1])
 assert main(["exact", "--d", "3", "--n", "40", "--out", str(work / "exact.csv")]) == 0
 assert main(["verify", "--suite", "exact", "--out", str(work / "verify")]) == 0
+print("ok")
+"""
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from pathlib import Path
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from chainrec.cli import main
+work = Path(sys.argv[1])
+for argv in (
+    *(["simulate", "--method", method, "--d", "2", "--n", "100", "--replicates", "50",
+       "--seed", "1"] for method in ("direct", "sojourn", "insertion")),
+    ["limits", "--kind", "y", "--d", "2", "--replicates", "50", "--seed", "1"],
+    ["limits", "--kind", "window", "--d", "2", "--window", "0.25,1.0,4.0", "--seed", "1"],
+    ["verify", "--suite", "limit"],
+):
+    assert main([*argv, "--out", str(work / argv[0])]) == 0, argv
 print("ok")
 """
 
@@ -571,6 +597,10 @@ def test_commands_without_tests_do_not_load_scipy(tmp_path):
 
 def test_exact_commands_run_without_mpmath(tmp_path):
     _run_fresh(_NO_MPMATH_SCRIPT, tmp_path)
+
+
+def test_commands_and_the_limit_suite_run_without_scipy(tmp_path):
+    _run_fresh(_NO_SCIPY_SCRIPT, tmp_path)
 
 
 def test_drivers_that_would_loop_forever_reject_their_inputs(tmp_path):

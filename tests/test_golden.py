@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -94,6 +95,11 @@ def _traces(traces) -> bytes:
     return repr([(t.record_times, t.heights, t.horizon) for t in traces]).encode()
 
 
+def _scans(d, max_marks, max_records, streams) -> bytes:
+    scans = (samplers._direct_scan(g, d, max_marks, max_records) for g in streams)
+    return repr([(tuple(times), tuple(heights), drawn) for times, heights, drawn in scans]).encode()
+
+
 def _estimate() -> bytes:
     summary = stats.estimate(
         lambda gen: float(samplers.simulate_sojourn(gen, 2, 1000).count),
@@ -116,17 +122,13 @@ LIBRARY_CASES = {
         3, 20, 5000, seed=SEED, label="golden:flags", chunk_size=1500, workers=2).tobytes(),
     "window-counts": lambda: samplers.sample_window_counts(
         2, (0.25, 1.0, 4.0), 300, seed=SEED, label="golden:window", chunk_size=128).tobytes(),
-    "insertion-renewal-diagnostics": lambda: samplers.sample_insertion_renewal_diagnostics(
-        2, 100, 500, seed=SEED, label="golden:sandwich", chunk_size=128).tobytes(),
     "estimate": _estimate,
     "simulate-direct": lambda: _traces(
         samplers.simulate_direct(g, 2, 20000) for g in _streams("golden:direct-trace", 5)),
-    "simulate-direct-until": lambda: _traces(
-        samplers.simulate_direct_until(g, 2, 4, max_marks=10**6)
-        for g in _streams("golden:until", 20)),
-    "simulate-direct-until-capped": lambda: _traces(
-        samplers.simulate_direct_until(g, 2, 50, max_marks=3000)
-        for g in _streams("golden:until-capped", 5)),
+    # the direct scan stopped at a record count, then by its mark cap
+    "simulate-direct-until": lambda: _scans(2, 10**6, 4, _streams("golden:until", 20)),
+    "simulate-direct-until-capped": lambda: _scans(
+        2, 3000, 50, _streams("golden:until-capped", 5)),
     "simulate-insertion": lambda: repr(
         [samplers.simulate_insertion(g, 2, 500) for g in _streams("golden:insertion", 50)]
     ).encode(),
@@ -135,8 +137,9 @@ LIBRARY_CASES = {
          for d, tol in ((2, 1e-8), (3, 1e-6))
          for g in _streams(f"golden:y:d={d}", 50)]
     ).encode(),
+    # heights above and at or below level 1 of the stationary renewal grid
     "stationary-height-pair": lambda: repr(
-        [samplers.sample_stationary_height_pair(g, 3) for g in _streams("golden:pair", 50)]
+        [tuple(math.exp(-x) for x in samplers._straddle(g, 3)) for g in _streams("golden:pair", 50)]
     ).encode(),
 }
 

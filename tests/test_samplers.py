@@ -11,24 +11,16 @@ from chainrec import exact, samplers, stats
 from chainrec.records import chain_record_indices, log_transform
 from chainrec.rng import make_stream
 from chainrec.samplers import (
-    HeightSequence,
-    renewal_count,
     sample_chain_counts,
     sample_height_factor,
-    sample_height_sequence,
     sample_limit_process,
     sample_limit_variable,
     sample_limit_variables,
-    sample_marks,
     sample_poisson_paced_terminals,
     sample_renewal_counts,
-    sample_stationary_height_factor,
-    sample_stationary_height_pair,
     sample_window_counts,
     simulate_direct,
-    simulate_direct_until,
     simulate_insertion,
-    simulate_poisson_paced,
     simulate_sojourn,
 )
 
@@ -58,7 +50,8 @@ def test_identical_streams_give_identical_traces():
 
 
 def test_batch_counts_independent_of_worker_count():
-    kwargs = dict(seed=SEED, label="test:workers")
+    # 3,000 replicates in chunks of 700: four full chunks and a short one
+    kwargs = dict(seed=SEED, label="test:workers", chunk_size=700)
     for method in ("direct", "sojourn", "insertion"):
         one = sample_chain_counts(method, 2, 50, 3000, workers=1, **kwargs)
         four = sample_chain_counts(method, 2, 50, 3000, workers=4, **kwargs)
@@ -80,8 +73,6 @@ BATCH_DRIVERS = {
     "poisson-paced": lambda r: sample_poisson_paced_terminals(2, 1.0, r, seed=SEED),
     "limit-variables": lambda r: sample_limit_variables(2, r, seed=SEED),
     "window-counts": lambda r: sample_window_counts(2, (0.25, 1.0, 4.0), r, seed=SEED),
-    "insertion-renewal": lambda r: samplers.sample_insertion_renewal_diagnostics(
-        2, 10, r, seed=SEED),
 }
 
 
@@ -147,14 +138,6 @@ def test_height_factor_matches_cdf():
         assert res.pvalue > 1e-3, (d, res)
 
 
-def test_height_sequence_is_decreasing_and_extends():
-    seq = sample_height_sequence(make_stream(SEED, 20), 2, 1e-6)
-    hs = seq.heights
-    assert all(a > b for a, b in zip(hs, hs[1:]))
-    assert hs[-1] <= 1e-6
-    assert all(0 < b / a < 1 for a, b in zip(hs, hs[1:]))
-
-
 # ---------------------------------------------------------------------------
 # direct simulation
 
@@ -167,7 +150,7 @@ def test_direct_single_mark():
 
 def test_direct_matches_records_module_per_seed():
     tr = simulate_direct(make_stream(SEED, 31), 2, 2000)
-    marks = sample_marks(make_stream(SEED, 31), 2, 2000)
+    marks = make_stream(SEED, 31).random((2000, 2))  # the uniforms the scan draws
     assert tuple(chain_record_indices(marks)) == tr.record_times
     assert simulate_direct(make_stream(SEED, 31), 2, 2000, block_size=100) == tr
     for t, h in zip(tr.record_times, tr.heights):
@@ -286,13 +269,22 @@ def test_log_sum_rows_equals_the_numpy_row_sum_bit_for_bit(d):
 
 def test_log_transform_correspondence_on_simulated_marks():
     tr = simulate_direct(make_stream(SEED, 33), 3, 1500)
-    marks = [tuple(m) for m in sample_marks(make_stream(SEED, 33), 3, 1500)]
+    marks = [tuple(m) for m in make_stream(SEED, 33).random((1500, 3))]
     upper = chain_record_indices(log_transform(marks), upper=True)
     assert tuple(upper) == tr.record_times
 
 
 # ---------------------------------------------------------------------------
 # sojourn simulation
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_sojourn_kernel_at_one_replicate_counts_the_scalar_trace(d):
+    # the same stream through the array kernel and the Python-float loop
+    for i in range(1000):
+        n = (10**5, 10**9)[i % 2]
+        count = samplers._sojourn_counts_chunk(make_stream(SEED, 48, i), d, n, 1)
+        assert count.tolist() == [simulate_sojourn(make_stream(SEED, 48, i), d, n).count], i
 
 
 def test_sojourn_single_mark():
@@ -358,10 +350,9 @@ def test_heights_match_products_of_factors():
     reps = 4000
     collected = {1: [], 2: [], 3: []}
     for _ in range(reps):
-        tr = simulate_direct_until(gen, 2, 3, max_marks=10**7)
-        for k in (1, 2, 3):
-            if tr.count >= k:
-                collected[k].append(tr.heights[k - 1])
+        _, heights, _ = samplers._direct_scan(gen, 2, 10**7, 3)  # stop at the third record
+        for k, h in enumerate(heights, 1):
+            collected[k].append(h)
     gen2 = make_stream(SEED, 44)
     for k in (1, 2, 3):
         direct = np.array(collected[k])
@@ -389,6 +380,31 @@ def test_sojourn_speedup_over_direct():
 # insertion simulation
 
 
+def _insertion_scan(rng, d, n):
+    """The screening scan of the insertion construction in Python floats: the oracle.
+
+    Returns the n screened uniforms, the heights that replaced terms (one
+    per replaced term, decreasing) and the log of the last height.
+    """
+    u = rng.random(n)
+    log_h = float(np.log(rng.random(d)).sum())
+    heights = [math.exp(log_h)]
+    for j in range(1, n):
+        if u[j] < heights[-1]:
+            log_h += float(np.log(rng.random(d)).sum())
+            heights.append(math.exp(log_h))
+    return u, heights, log_h
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_insertion_kernel_equals_the_scalar_scan(d):
+    for i in range(1000):
+        n = 50 + 50 * (i % 10)
+        count = simulate_insertion(make_stream(SEED, 71, i), d, n)
+        _, heights, _ = _insertion_scan(make_stream(SEED, 71, i), d, n)
+        assert count == len(heights), (i, n)
+
+
 def test_insertion_single_mark():
     assert simulate_insertion(make_stream(SEED, 70), 2, 1) == 1
 
@@ -413,14 +429,20 @@ def test_three_way_agreement_small():
 # renewal counts
 
 
+class FixedUniforms:
+    """Generator stub whose uniforms are a fixed sequence, in draw order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self, size):
+        return np.array([next(self.values) for _ in range(math.prod(size))]).reshape(size)
+
+
 def test_renewal_count_frozen_example():
-    assert renewal_count((0.5, 0.2, 0.05), 10) == 2
-    assert renewal_count(HeightSequence((0.5, 0.2, 0.05), 2), 10) == 2
-
-
-def test_renewal_count_requires_extension():
-    with pytest.raises(ValueError):
-        renewal_count((0.5, 0.2), 10)
+    # factors 0.5, 0.4, 0.25 give heights 0.5, 0.2, 0.05: two above 1/10
+    counts = samplers._renewal_counts_chunk(FixedUniforms([0.5, 0.4, 0.25]), 1, 10, 1)
+    assert counts.tolist() == [2]
 
 
 def test_renewal_count_mean():
@@ -434,10 +456,20 @@ def test_insertion_renewal_sandwich():
     # the unconditional first replacement contributes the +1: every other
     # replacement either consumed a height above 1/n (there are at most
     # `renewal` of those) or was triggered by a uniform below 1/n
-    triples = samplers.sample_insertion_renewal_diagnostics(
-        2, 100, 10000, seed=SEED, label="test:sandwich"
-    )
-    count, renewal, below = triples[:, 0], triples[:, 1], triples[:, 2]
+    # (the oracle scan gives the kernel's counts, see
+    # test_insertion_kernel_equals_the_scalar_scan; its heights extend
+    # past the scan until one drops to 1/n)
+    gen = make_stream(SEED, 76)
+    n = 100
+    triples = []
+    for _ in range(10000):
+        u, heights, log_h = _insertion_scan(gen, 2, n)
+        count = len(heights)
+        while heights[-1] > 1 / n:
+            log_h += float(np.log(gen.random(2)).sum())
+            heights.append(math.exp(log_h))
+        triples.append((count, sum(h > 1 / n for h in heights), int((u < 1 / n).sum())))
+    count, renewal, below = np.array(triples).T
     assert (count <= renewal + below + 1).all()
     assert abs(below.mean() - 1.0) < 0.05  # below-1/n hits are ~Poisson(1)
 
@@ -446,24 +478,42 @@ def test_insertion_renewal_sandwich():
 # the paced process
 
 
+def _paced_path(gen, d, t_end, b0):
+    """Jump times and states of the paced process, one jump at a time: the oracle.
+
+    Draws as the paced kernel does at m=1: an exponential hold, then a
+    height factor, until the hold passes ``t_end``.
+    """
+    jumps, states = [], [b0]
+    t = 0.0
+    while True:
+        t += gen.exponential(size=1)[0] / states[-1]
+        w = np.exp(np.log(gen.random((1, d))).sum(axis=1))[0]
+        if t > t_end:
+            return jumps, states
+        jumps.append(t)
+        states.append(states[-1] * w)
+
+
 def test_poisson_paced_path_structure():
-    path = simulate_poisson_paced(make_stream(SEED, 80), 2, 50.0)
-    assert all(a < b for a, b in zip(path.jump_times, path.jump_times[1:]))
-    heights = (path.initial_state,) + path.heights_after_jump
-    assert all(0 < b / a < 1 for a, b in zip(heights, heights[1:]))
-    assert path.jump_times[-1] <= 50.0
-    assert path.state_at(0.0) == 1.0
-    assert path.state_at(50.0) == path.heights_after_jump[-1]
+    for i in range(50):
+        count, _, state = samplers._poisson_paced_chunk(make_stream(SEED, 80, i), 2, 50.0, 1.0, 1)
+        jumps, states = _paced_path(make_stream(SEED, 80, i), 2, 50.0, 1.0)
+        assert (count[0], state[0]) == (len(jumps), states[-1])
+        assert all(a < b <= 50.0 for a, b in zip([0.0, *jumps], jumps))
+        assert all(0 < b / a < 1 for a, b in zip(states, states[1:]))
 
 
 def test_poisson_paced_integral_sums_the_segments():
-    path = simulate_poisson_paced(make_stream(SEED, 81), 1, 10.0, b0=2.0)
-    assert path.count >= 2
-    for upto in (4.0, 10.0):
-        cuts = [0.0, *(s for s in path.jump_times if s < upto), upto]
-        segments = sum((b - a) * path.state_at(a) for a, b in zip(cuts, cuts[1:]))
-        assert path.height_integral(upto) == pytest.approx(segments)
-    assert path.height_integral() == path.height_integral(10.0)
+    jumps_seen = 0
+    for i in range(50):
+        _, integral, _ = samplers._poisson_paced_chunk(make_stream(SEED, 81, i), 1, 10.0, 2.0, 1)
+        jumps, states = _paced_path(make_stream(SEED, 81, i), 1, 10.0, 2.0)
+        cuts = [0.0, *jumps, 10.0]
+        segments = sum((b - a) * s for a, b, s in zip(cuts, cuts[1:], states))
+        assert integral[0] == pytest.approx(segments, rel=1e-12)
+        jumps_seen += len(jumps)
+    assert jumps_seen >= 100
 
 
 def test_compensator_identity_small():
@@ -496,9 +546,29 @@ def test_paced_self_similarity():
 # stationary factor and the limit variable
 
 
+class UnitExponentials:
+    """Generator stub whose exponentials are all 1; other draws pass through.
+
+    With it, and a tolerance above 1 that stops the series at its first
+    term, the limit-variable kernel returns its stationary factors.
+    """
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def exponential(self, size):
+        return np.ones(size)
+
+
+def _stationary_factors(key, d, m):
+    return samplers._limit_variable_chunk(UnitExponentials(make_stream(SEED, key)), d, 2.0, m)[0]
+
+
 def test_stationary_factor_dimension_one_is_uniform():
-    gen = make_stream(SEED, 90)
-    draws = np.array([sample_stationary_height_factor(gen, 1) for _ in range(10000)])
+    draws = _stationary_factors(90, 1, 10000)
     assert scipy.stats.kstest(draws, "uniform").pvalue > 1e-3
 
 
@@ -518,16 +588,14 @@ def _stationary_cdf(d):
 
 
 def test_stationary_factor_matches_density():
-    gen = make_stream(SEED, 91)
-    draws = np.array([sample_stationary_height_factor(gen, 3) for _ in range(20000)])
+    draws = _stationary_factors(91, 3, 20000)
     assert scipy.stats.kstest(draws, _stationary_cdf(3)).pvalue > 1e-3
 
 
 def test_straddle_pair_invariants_and_law():
     gen = make_stream(SEED, 92)
-    pairs = [sample_stationary_height_pair(gen, 2) for _ in range(20000)]
-    above = np.array([a for a, _ in pairs])
-    below = np.array([b for _, b in pairs])
+    pairs = np.array([samplers._straddle(gen, 2) for _ in range(20000)])
+    above, below = np.exp(-pairs).T
     assert (above > 1).all()
     assert ((0 < below) & (below <= 1)).all()
     # the at-or-below point has the stationary law

@@ -8,6 +8,7 @@ import pytest
 from chainrec import exact, samplers
 from chainrec.rng import make_stream, stream_id
 from chainrec.stats import (
+    _chi_square_tail,
     bonferroni,
     clt_diagnostics,
     estimate,
@@ -118,6 +119,16 @@ def test_power_integer_case():
     b = gen.poisson(3.3, size=20000)
     res = two_sample_test(a, b, significance=0.01)
     assert res.kind == "chisq" and res.reject
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 4, 7, 8, 25, 60])
+def test_chi_square_tail_matches_scipy(dof):
+    import scipy.special
+
+    for stat in [0.0, 1e-9, *np.geomspace(1e-3, 1000.0, 400)]:
+        reference = float(scipy.special.chdtrc(dof, stat))
+        if reference > 1e-250:
+            assert _chi_square_tail(dof, float(stat)) == pytest.approx(reference, rel=1e-12, abs=0)
 
 
 def test_direct_vs_sojourn_does_not_reject():

@@ -11,15 +11,26 @@ and must agree in distribution:
 
 Each law has one kernel, an array function of m replicates drawn from one
 generator (``_height_factor_column`` and the ``_*_chunk`` functions), and a
-scalar sampler is its kernel at m=1: ``simulate_insertion``, ``sample_limit_variable`` and
-``sample_height_factor``.  Two laws keep a second path, held equal to the
-first by tests.  Direct detection runs the block kernel
-``_direct_counts_chunk`` for batches up to n=4096 and the growing-block
-scan ``_direct_scan`` above that and for traces.  ``simulate_sojourn``
-walks its records in Python floats: through the array kernel a lone trace
-runs some fifteen distinct array operations, each slow to bring back into
-cache after other array work, which would cost the sojourn simulator its
-speed at large n.
+scalar sampler is its kernel at m=1: ``simulate_insertion``,
+``sample_limit_variable`` and ``sample_height_factor``.  Three laws keep a
+second path, held equal to the first by tests:
+
+* direct detection runs the block kernel ``_direct_counts_chunk`` for
+  batches up to n=4096 and the growing-block scan ``_direct_scan`` above
+  that and for traces;
+* ``simulate_sojourn`` walks its records in Python floats: through the
+  array kernel a lone trace runs some fifteen distinct array operations,
+  each slow to bring back into cache after other array work, which would
+  cost the sojourn simulator its speed at large n;
+* window counts come from ``_window_counts_chunk``, and
+  ``sample_limit_process`` draws the points themselves for one window;
+  at m=1 the kernel draws what the points sampler draws.
+
+The insertion kernel ``_insertion_counts_chunk`` draws the first height
+column, then the screened uniforms in (_TILE, m) tiles, with each height
+factor column drawn the first time a row needs it.  So a chunk holds one
+tile and its factor columns, never its (m, n) uniform block: 4 MB at
+m = 8192 where the block held 65.5 MB at n = 1000.
 
 Scalar functions take a generator from :func:`chainrec.rng.make_stream`
 and are pure given that stream.  Every batch result -- the ``sample_*``
@@ -41,7 +52,7 @@ from chainrec.rng import make_stream, stream_id
 
 _CHUNK_BUDGET = 1 << 24  # doubles per chunk: bounds the chunk size of the array kernels
 _SUB_BLOCK = 1 << 22  # doubles drawn at once inside one direct-detection chunk
-_TILE = 64  # mark indices per contiguous tile of the direct kernel
+_TILE = 64  # indices per contiguous tile of the direct and insertion kernels
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +157,12 @@ def simulate_sojourn(rng: np.random.Generator, d: int, n: int) -> ChainRecordTra
     to the next record is geometric on {1,2,...} with success probability
     equal to the current height, drawn by inverse CDF
     ceil(log(1-V)/log1p(-h)) so that heights near underflow stay safe.
+
+    It counts what :func:`_sojourn_counts_chunk` counts at m=1 on the same
+    stream only up to about n = 10^9: this loop takes ``math.exp`` and
+    ``math.log1p``, the kernel numpy's, and a one-ulp difference in a height
+    moves a gap of 10^13 or more by one, so by n = 10^15 some record times
+    differ.  Both are draws of the same law.
     """
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
@@ -188,17 +205,27 @@ def sample_limit_variable(
     return float(_limit_variable_chunk(rng, d, tolerance, 1)[0][0])
 
 
-def _straddle(rng, d):
+def _straddle(rng, d, m):
     """-log of the stationary renewal-grid heights on both sides of level 1.
 
     The step across the unit level is length biased (Gamma(d+1, 1) in log
     space) and split uniformly, which reproduces the equilibrium law on
-    both sides.  Returns ``(x_above, x_at_or_below)`` with x_above < 0 and
-    x_at_or_below >= 0.
+    both sides.  Returns arrays ``(x_above, x_at_or_below)`` of m draws
+    with x_above < 0 and x_at_or_below >= 0.
     """
-    straddle = float(rng.gamma(d + 1))
-    x0 = float(rng.random()) * straddle
+    straddle = rng.gamma(d + 1, size=m)
+    x0 = rng.random(m) * straddle
     return x0 - straddle, x0
+
+
+def _check_window(d, window, truncation_tol):
+    s_lo, s_hi, t_hi = window
+    if d < 1:
+        raise ValueError("need d >= 1")
+    if not 0 < s_lo < s_hi or t_hi <= 0:
+        raise ValueError("window must satisfy 0 < s_lo < s_hi and t_hi > 0")
+    if truncation_tol <= 0:
+        raise ValueError("truncation tolerance must be positive")
 
 
 def sample_limit_process(
@@ -217,15 +244,10 @@ def sample_limit_process(
     approximation using realized heights -- falls below
     ``truncation_tol``.
     """
+    _check_window(d, window, truncation_tol)
     s_lo, s_hi, t_hi = window
-    if d < 1:
-        raise ValueError("need d >= 1")
-    if not 0 < s_lo < s_hi or t_hi <= 0:
-        raise ValueError("window must satisfy 0 < s_lo < s_hi and t_hi > 0")
-    if truncation_tol <= 0:
-        raise ValueError("truncation tolerance must be positive")
     # ascending -log(height); grid[0] is the deepest backward point
-    grid = list(_straddle(rng, d))
+    grid = [float(x[0]) for x in _straddle(rng, d, 1)]
     tail_const = 1.0 / math.expm1(d)
     while True:
         top = math.exp(-grid[0])  # largest height collected so far
@@ -372,27 +394,36 @@ def _sojourn_counts_chunk(gen, d, n, m):
 def _insertion_counts_chunk(gen, d, n, m):
     """The insertion kernel: chain-record counts of m replicates.
 
-    Screens n uniforms per replicate; the first term is always replaced by
-    the first stick-breaking height, and afterwards every first hit below
-    the current height is replaced by the next one.  The number of
-    replaced terms equals the chain-record count in law.
+    Screens terms 2..n of each replicate; the first term is always
+    replaced by the first stick-breaking height, and afterwards every
+    first hit below the current height is replaced by the next one.  The
+    number of replaced terms equals the chain-record count in law.
+
+    Draw order: the first height column, then the screened uniforms as
+    contiguous (_TILE, m) tiles, term-major.  Height factors are drawn on
+    demand, one (m,) column of a growing (K, m) array the first time some
+    row needs its K-th factor, so a row's factors are gathered by its own
+    count.  A tile holds _TILE * m doubles (4 MB at m = 8192): the kernel
+    never holds an (m, n) block.
     """
-    u = gen.random((m, n))
     thresh = _height_factor_column(gen, d, m)
     counts = np.ones(m, dtype=np.int64)
-    applied = np.zeros(m, dtype=np.int64)  # factors consumed per row so far
-    factors: list[np.ndarray] = []
-    for j in range(1, n):
-        hit = u[:, j] < thresh
-        if not hit.any():
-            continue
-        counts[hit] += 1
-        while len(factors) <= int(applied[hit].max()):
-            factors.append(_height_factor_column(gen, d, m))
-        for k in np.unique(applied[hit]):
-            sel = hit & (applied == k)
-            thresh[sel] *= factors[k][sel]
-        applied[hit] += 1
+    factors = np.empty((8, m))
+    drawn = 0  # factor columns drawn so far
+    for t0 in range(1, n, _TILE):
+        tile = gen.random((min(_TILE, n - t0), m))
+        for row in tile:
+            hit = np.flatnonzero(row < thresh)
+            if not hit.size:
+                continue
+            need = counts[hit] - 1  # index of each hit row's next factor
+            while drawn <= need.max():
+                if drawn == len(factors):
+                    factors = np.concatenate([factors, np.empty_like(factors)])
+                factors[drawn] = _height_factor_column(gen, d, m)
+                drawn += 1
+            thresh[hit] *= factors[need, hit]
+            counts[hit] += 1
     return counts
 
 
@@ -452,6 +483,55 @@ def _limit_variable_chunk(gen, d, tolerance, m):
         depth += active
         active &= p * tail_ratio >= tolerance
     return y, depth
+
+
+def _window_counts_chunk(gen, d, window, truncation_tol, m):
+    """The window-count kernel: point counts of m limit-process draws in a window.
+
+    Follows :func:`sample_limit_process` step for step and draws only for
+    the rows still active at each step: the straddle of level 1, the
+    backward Gamma(d) steps under the same stopping rule, one exponential
+    per grid point from each row's deepest point up, then the forward
+    steps until the arrival time passes ``t_hi`` or the height drops below
+    ``s_lo``.  At m=1 it draws what the points sampler draws, in order.
+    """
+    s_lo, s_hi, t_hi = window
+    x_above, x0 = _straddle(gen, d, m)
+    # levels[k][r]: -log height of row r's k-th grid point counted backward
+    # (0 at or below level 1, 1 above it, then one per backward step); row r
+    # holds depth[r] points and ignores the entries past them
+    levels = [x0, x_above]
+    depth = np.full(m, 2)
+    tail_const = 1.0 / math.expm1(d)
+    deep = x_above.copy()
+    rows = np.arange(m)
+    while True:
+        top = np.exp(-deep[rows])  # largest height collected so far
+        rows = rows[~((top > s_hi) & (tail_const / top < truncation_tol))]
+        if not rows.size:
+            break
+        deep[rows] -= gen.gamma(d, size=rows.size)
+        levels.append(deep.copy())
+        depth[rows] += 1
+
+    grid = np.array(levels)
+    counts = np.zeros(m, dtype=np.int64)
+    sigma = np.zeros(m)  # neglected tail below the truncation index counts as zero
+    for s in range(len(grid)):
+        rows = np.flatnonzero(depth > s)
+        xi = np.exp(-grid[depth[rows] - 1 - s, rows])
+        sigma[rows] += gen.exponential(size=rows.size) / xi
+        counts[rows] += (s_lo <= xi) & (xi <= s_hi) & (sigma[rows] <= t_hi)
+    x = x0.copy()
+    rows = np.flatnonzero(sigma <= t_hi)
+    while rows.size:
+        x[rows] += gen.gamma(d, size=rows.size)
+        xi = np.exp(-x[rows])
+        sigma[rows] += gen.exponential(size=rows.size) / xi
+        inside = sigma[rows] <= t_hi
+        counts[rows] += (s_lo <= xi) & (xi <= s_hi) & inside
+        rows = rows[(xi >= s_lo) & inside]
+    return counts
 
 
 def _clamped_chunk(chunk_size, doubles_per_item):
@@ -589,6 +669,7 @@ def sample_window_counts(
     workers: int = 1,
 ) -> np.ndarray:
     """Point counts of independent limit-process draws in a fixed window."""
+    _check_window(d, window, truncation_tol)
     label = label or f"window-counts:d={d}:window={window}:tol={truncation_tol}"
-    fn = _per_replicate(lambda gen: sample_limit_process(gen, d, window, truncation_tol).count)
+    fn = lambda gen, k: _window_counts_chunk(gen, d, window, truncation_tol, k)
     return _run_chunked(fn, replicates, seed, label, chunk_size, workers)

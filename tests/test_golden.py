@@ -123,13 +123,13 @@ LIBRARY_CASES = {
     "window-counts": lambda: samplers.sample_window_counts(
         2, (0.25, 1.0, 4.0), 300, seed=SEED, label="golden:window", chunk_size=128).tobytes(),
     "estimate": _estimate,
-    "simulate-direct": lambda: _traces(
+    "simulate-direct-traces": lambda: _traces(
         samplers.simulate_direct(g, 2, 20000) for g in _streams("golden:direct-trace", 5)),
     # the direct scan stopped at a record count, then by its mark cap
     "simulate-direct-until": lambda: _scans(2, 10**6, 4, _streams("golden:until", 20)),
     "simulate-direct-until-capped": lambda: _scans(
         2, 3000, 50, _streams("golden:until-capped", 5)),
-    "simulate-insertion": lambda: repr(
+    "simulate-insertion-counts": lambda: repr(
         [samplers.simulate_insertion(g, 2, 500) for g in _streams("golden:insertion", 50)]
     ).encode(),
     "sample-limit-variable": lambda: repr(
@@ -139,7 +139,8 @@ LIBRARY_CASES = {
     ).encode(),
     # heights above and at or below level 1 of the stationary renewal grid
     "stationary-height-pair": lambda: repr(
-        [tuple(math.exp(-x) for x in samplers._straddle(g, 3)) for g in _streams("golden:pair", 50)]
+        [tuple(math.exp(-x[0]) for x in samplers._straddle(g, 3, 1))
+         for g in _streams("golden:pair", 50)]
     ).encode(),
 }
 
@@ -160,6 +161,7 @@ def test_output_matches_golden_digest(name, tmp_path):
 
 
 def test_manifest_has_no_stale_entries():
+    assert not CLI_CASES.keys() & LIBRARY_CASES.keys()  # a shared name hides the library case
     assert set(json.loads(MANIFEST.read_text())) == {*CLI_CASES, *LIBRARY_CASES}
 
 

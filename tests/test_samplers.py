@@ -280,7 +280,14 @@ def test_log_transform_correspondence_on_simulated_marks():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_sojourn_kernel_at_one_replicate_counts_the_scalar_trace(d):
-    # the same stream through the array kernel and the Python-float loop
+    """The same stream through the array kernel and the Python-float loop.
+
+    They agree per stream only up to about n = 10^9.  The loop takes its
+    heights and gaps from ``math``, the kernel from numpy, and the two may
+    differ by one ulp; once gaps reach about 10^13 that moves
+    ``ceil(log1p(-v) / log1p(-h))`` by one, so by n = 10^15 some record
+    times differ (5 of 500 streams at d=1).  Both are draws of the same law.
+    """
     for i in range(1000):
         n = (10**5, 10**9)[i % 2]
         count = samplers._sojourn_counts_chunk(make_stream(SEED, 48, i), d, n, 1)
@@ -367,11 +374,13 @@ def test_sojourn_speedup_over_direct():
     n = 10**6
     direct_times, sojourn_times = [], []
     for rep in range(3):
+        # streams are built outside the timings: set-up is not sampler work
+        direct_gen, sojourn_gen = make_stream(SEED, 50 + rep), make_stream(SEED, 60 + rep)
         t0 = time.perf_counter()
-        simulate_direct(make_stream(SEED, 50 + rep), 2, n)
+        simulate_direct(direct_gen, 2, n)
         direct_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        simulate_sojourn(make_stream(SEED, 60 + rep), 2, n)
+        simulate_sojourn(sojourn_gen, 2, n)
         sojourn_times.append(time.perf_counter() - t0)
     assert min(direct_times) / min(sojourn_times) >= 50
 
@@ -383,17 +392,23 @@ def test_sojourn_speedup_over_direct():
 def _insertion_scan(rng, d, n):
     """The screening scan of the insertion construction in Python floats: the oracle.
 
-    Returns the n screened uniforms, the heights that replaced terms (one
-    per replaced term, decreasing) and the log of the last height.
+    Draws as the insertion kernel does at m=1: the first height, then the
+    screened terms 2..n in tiles of ``_TILE`` uniforms, and a height factor
+    at each hit.  Returns the screened uniforms, the heights that replaced
+    terms (one per replaced term, decreasing) and the log of the last
+    height.
     """
-    u = rng.random(n)
     log_h = float(np.log(rng.random(d)).sum())
     heights = [math.exp(log_h)]
-    for j in range(1, n):
-        if u[j] < heights[-1]:
-            log_h += float(np.log(rng.random(d)).sum())
-            heights.append(math.exp(log_h))
-    return u, heights, log_h
+    screened = []
+    for t0 in range(1, n, samplers._TILE):
+        tile = rng.random(min(samplers._TILE, n - t0))
+        for x in tile:
+            if x < heights[-1]:
+                log_h += float(np.log(rng.random(d)).sum())
+                heights.append(math.exp(log_h))
+        screened.extend(tile)
+    return np.array(screened), heights, log_h
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -403,6 +418,57 @@ def test_insertion_kernel_equals_the_scalar_scan(d):
         count = simulate_insertion(make_stream(SEED, 71, i), d, n)
         _, heights, _ = _insertion_scan(make_stream(SEED, 71, i), d, n)
         assert count == len(heights), (i, n)
+
+
+def _insertion_rows(gen, d, n, m):
+    """The insertion kernel's draws at m rows, screened one row at a time: the oracle.
+
+    Factor column k is drawn when the first row needs its k-th factor, and
+    row r multiplies its threshold by entry r of its own k-th column.
+    """
+    thresh = np.exp(np.log(gen.random((m, d))).sum(axis=1)).tolist()
+    counts = [1] * m
+    columns = []
+    for t0 in range(1, n, samplers._TILE):
+        for term in gen.random((min(samplers._TILE, n - t0), m)):
+            for r in range(m):
+                if term[r] < thresh[r]:
+                    k = counts[r] - 1
+                    while len(columns) <= k:
+                        columns.append(np.exp(np.log(gen.random((m, d))).sum(axis=1)))
+                    thresh[r] *= columns[k][r]
+                    counts[r] += 1
+    return counts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 200])
+def test_insertion_kernel_gathers_each_rows_own_factors(d, n):
+    for key in range(3):
+        counts = samplers._insertion_counts_chunk(make_stream(SEED, 72, key), d, n, 30)
+        assert counts.tolist() == _insertion_rows(make_stream(SEED, 72, key), d, n, 30)
+
+
+class DrawSizes:
+    """Generator proxy that records the size of every array a draw returns."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.sizes = []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            out = getattr(self.gen, name)(*args, **kwargs)
+            self.sizes.append(np.size(out))
+            return out
+
+        return draw
+
+
+def test_insertion_kernel_draws_at_most_one_tile_at_a_time():
+    gen = DrawSizes(make_stream(SEED, 73))
+    samplers._insertion_counts_chunk(gen, 2, 1000, 8192)
+    assert max(gen.sizes) <= samplers._TILE * 8192
 
 
 def test_insertion_single_mark():
@@ -594,8 +660,7 @@ def test_stationary_factor_matches_density():
 
 def test_straddle_pair_invariants_and_law():
     gen = make_stream(SEED, 92)
-    pairs = np.array([samplers._straddle(gen, 2) for _ in range(20000)])
-    above, below = np.exp(-pairs).T
+    above, below = np.exp(-np.array(samplers._straddle(gen, 2, 20000)))
     assert (above > 1).all()
     assert ((0 < below) & (below <= 1)).all()
     # the at-or-below point has the stationary law
@@ -658,3 +723,34 @@ def test_window_rejects_bad_arguments():
         sample_limit_process(gen, 2, (0.5, 0.2, 1.0))
     with pytest.raises(ValueError):
         sample_limit_process(gen, 2, (0.1, 1.0, 1.0), truncation_tol=-1.0)
+
+
+@pytest.mark.parametrize("window", [(0.25, 1.0, 4.0), (0.5, 2.0, 2.0), (0.05, 3.0, 10.0)])
+def test_window_kernel_at_one_replicate_counts_the_points_sampler(window):
+    # the c11 base and image windows and the golden window, on the same streams
+    for i in range(1500):
+        count = samplers._window_counts_chunk(make_stream(SEED, 98, i), 2, window, 1e-9, 1)
+        assert count.tolist() == [sample_limit_process(make_stream(SEED, 98, i), 2, window).count], i
+
+
+def test_window_kernel_rows_have_the_law_of_the_points_sampler():
+    window = (0.05, 3.0, 10.0)
+    batch = sample_window_counts(2, window, 4000, seed=SEED, label="test:w:batch")
+    gen = make_stream(SEED, 99)
+    points = [sample_limit_process(gen, 2, window).count for _ in range(4000)]
+    res = stats.two_sample_test(batch, np.array(points), significance=0.001)
+    assert not res.reject, res
+
+
+@pytest.mark.parametrize("window, tol", [
+    ((0.5, 0.2, 1.0), 1e-9), ((0.5, 0.5, 1.0), 1e-9), ((0.0, 1.0, 1.0), 1e-9),
+    ((0.1, 1.0, 0.0), 1e-9), ((0.1, 1.0, -1.0), 1e-9), ((0.1, 1.0, 1.0), 0.0),
+    ((0.1, 1.0, 1.0), -1.0),
+])
+def test_window_counts_reject_bad_arguments_before_drawing(window, tol, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before checking its arguments")
+
+    monkeypatch.setattr(samplers, "_run_chunked", no_draws)
+    with pytest.raises(ValueError):
+        sample_window_counts(2, window, 10, truncation_tol=tol, seed=SEED)

@@ -14,104 +14,75 @@ compute, so each can be checked against the others:
 
 ``chainrec.cli`` wires everything into the ``chainrec`` command; the
 ``verify`` subcommand runs the acceptance suite.
+
+``import chainrec`` itself loads none of these modules.  Each name below
+is imported from its home module on first use (PEP 562), so a program
+that uses only :mod:`chainrec.exact` never loads numpy.
 """
 
-from chainrec.records import (
-    RecordDetector,
-    RecordFlags,
-    chain_record_indices,
-    classify_sequence,
-    dominates,
-    height,
-    log_transform,
-)
-from chainrec.exact import (
-    CapExceededError,
-    chain_record_prob,
-    chain_record_prob_table,
-    expected_chain_count,
-    expected_strong_count,
-    expected_weak_count,
-    expected_weak_count_table,
-    height_factor_cdf,
-    height_factor_density,
-    limit_moment,
-    mellin,
-    moment_series,
-    poisson_weighted_chain_prob,
-    stationary_density,
-    strong_record_prob,
-    weak_record_prob,
-    weak_record_prob_table,
-)
-from chainrec.rng import make_stream, stream_id
-from chainrec.samplers import (
-    ChainRecordTrace,
-    LimitProcessWindow,
-    sample_chain_counts,
-    sample_height_factor,
-    sample_limit_process,
-    sample_limit_variable,
-    sample_limit_variables,
-    simulate_direct,
-    simulate_insertion,
-    simulate_sojourn,
-)
-from chainrec.stats import (
-    CltDiagnostics,
-    ExperimentSummary,
-    TestResult,
-    clt_diagnostics,
-    estimate,
-    regression_slope,
-    two_sample_test,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceededError",
-    "ChainRecordTrace",
-    "CltDiagnostics",
-    "ExperimentSummary",
-    "LimitProcessWindow",
-    "RecordDetector",
-    "RecordFlags",
-    "TestResult",
-    "chain_record_indices",
-    "chain_record_prob",
-    "chain_record_prob_table",
-    "classify_sequence",
-    "clt_diagnostics",
-    "dominates",
-    "estimate",
-    "expected_chain_count",
-    "expected_strong_count",
-    "expected_weak_count",
-    "expected_weak_count_table",
-    "height",
-    "height_factor_cdf",
-    "height_factor_density",
-    "limit_moment",
-    "log_transform",
-    "make_stream",
-    "mellin",
-    "moment_series",
-    "poisson_weighted_chain_prob",
-    "regression_slope",
-    "sample_chain_counts",
-    "sample_height_factor",
-    "sample_limit_process",
-    "sample_limit_variable",
-    "sample_limit_variables",
-    "simulate_direct",
-    "simulate_insertion",
-    "simulate_sojourn",
-    "stationary_density",
-    "stream_id",
-    "strong_record_prob",
-    "two_sample_test",
-    "weak_record_prob",
-    "weak_record_prob_table",
-    "__version__",
-]
+# each exported name and the module that defines it
+_EXPORTS = {
+    "CapExceededError": "exact",
+    "chain_record_prob": "exact",
+    "chain_record_prob_table": "exact",
+    "expected_chain_count": "exact",
+    "expected_strong_count": "exact",
+    "expected_weak_count": "exact",
+    "expected_weak_count_table": "exact",
+    "height_factor_cdf": "exact",
+    "height_factor_density": "exact",
+    "limit_moment": "exact",
+    "mellin": "exact",
+    "moment_series": "exact",
+    "poisson_weighted_chain_prob": "exact",
+    "stationary_density": "exact",
+    "strong_record_prob": "exact",
+    "weak_record_prob": "exact",
+    "weak_record_prob_table": "exact",
+    "RecordDetector": "records",
+    "RecordFlags": "records",
+    "chain_record_indices": "records",
+    "classify_sequence": "records",
+    "dominates": "records",
+    "height": "records",
+    "log_transform": "records",
+    "make_stream": "rng",
+    "stream_id": "rng",
+    "ChainRecordTrace": "samplers",
+    "LimitProcessWindow": "samplers",
+    "sample_chain_counts": "samplers",
+    "sample_height_factor": "samplers",
+    "sample_limit_process": "samplers",
+    "sample_limit_variable": "samplers",
+    "sample_limit_variables": "samplers",
+    "simulate_direct": "samplers",
+    "simulate_insertion": "samplers",
+    "simulate_sojourn": "samplers",
+    "CltDiagnostics": "stats",
+    "ExperimentSummary": "stats",
+    "TestResult": "stats",
+    "clt_diagnostics": "stats",
+    "estimate": "stats",
+    "regression_slope": "stats",
+    "two_sample_test": "stats",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    try:
+        home = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

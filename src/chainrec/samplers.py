@@ -43,7 +43,6 @@ is bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +301,8 @@ def _run_chunked(chunk_fn, total, seed, label, chunk_size, workers):
     if workers <= 1:
         parts = [one(i) for i in range(len(sizes))]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one, range(len(sizes))))
     if isinstance(parts[0], tuple):

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import math
 import os
-import subprocess
 import sys
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-
-from numpy.polynomial.laguerre import laggauss
 
 import chainrec
 from chainrec import exact, samplers, stats
@@ -174,6 +170,8 @@ def _renewal_integral(d, beta, t):
     s = exp(-u) gives exp(-(beta+1) u) u**(d-1)/(d-1)! m(t exp(-u)) on (0, inf); 40
     nodes reach c05's finite-difference floor (~8e-12), where 20 leave 2.4e-8.
     """
+    from numpy.polynomial.laguerre import laggauss
+
     u, w = laggauss(40)
     return sum(
         wi * math.exp(-beta * ui) * ui ** (d - 1) / math.factorial(d - 1)
@@ -416,6 +414,8 @@ def _cli(args, cwd):
     another installed copy cannot take its place.  A failed child raises
     :class:`ChildProcessError` with the child's stderr.
     """
+    import subprocess
+
     import_root = str(Path(chainrec.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = os.pathsep.join([import_root, inherited]) if inherited else import_root
@@ -439,6 +439,8 @@ def c12_reproducibility(seed, overrides, workers=1):
     this interpreter is reused and per-process state such as the string-hash
     seed differs between the runs being compared.
     """
+    import tempfile
+
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chainrec
-from chainrec import cli, exact, samplers, verify
+from chainrec import cli, exact, samplers
 from chainrec.cli import _read_marks_csv, main
 
 from conftest import ELEVEN_POINT_CHAIN, ELEVEN_POINT_MARKS, FOUR_POINT_MARKS
@@ -468,12 +468,27 @@ def test_verify_reports_a_failed_child_launch(tmp_path, monkeypatch, capsys):
     def failed_run(cmd, **kwargs):
         return subprocess.CompletedProcess(cmd, 1, "", "python: No module named chainrec\n")
 
-    monkeypatch.setattr(verify.subprocess, "run", failed_run)
+    monkeypatch.setattr(subprocess, "run", failed_run)
     assert main(["verify", "--suite", "repro"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "No module named chainrec" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_rejects_an_unknown_suite(tmp_path, monkeypatch, capsys, source):
+    out_dir = tmp_path / "out"
+    monkeypatch.setenv("CHAINREC_OUT_DIR", str(out_dir))
+    if source == "flag":
+        argv = ["verify", "--suite", "nope"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite=nope\n")
+        argv = ["verify", "--config", str(cfg)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: unknown suite 'nope'")
+    assert not out_dir.exists()
 
 
 def test_verify_tolerance_override_can_force_failure(tmp_path, capsys):
@@ -554,6 +569,35 @@ print("ok")
 """
 
 
+# numpy loads only with the commands that compute with arrays
+_NO_NUMPY_SCRIPT = """
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import chainrec
+assert chainrec.__version__ == "0.1.0"
+import chainrec.cli
+from chainrec.cli import main
+
+for argv, expected in ((["--version"], "chainrec 0.1.0\\n"), (["--help"], None)):
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+    else:
+        raise AssertionError(f"{argv} did not exit")
+    assert expected in (None, printed.getvalue()), printed.getvalue()
+work = Path(sys.argv[1])
+assert main(["exact", "--d", "3", "--n", "40", "--out", str(work / "exact.csv")]) == 0
+print("ok")
+"""
+
+
 # Unchecked, the renewal kernel never ends at d = 0 (every height factor is
 # 1) and the paced kernel never ends at b0 < 0 (time runs backwards), so
 # these run in a child process under _run_fresh's timeout.
@@ -601,6 +645,12 @@ def test_exact_commands_run_without_mpmath(tmp_path):
 
 def test_commands_and_the_limit_suite_run_without_scipy(tmp_path):
     _run_fresh(_NO_SCIPY_SCRIPT, tmp_path)
+
+
+def test_version_help_and_exact_run_without_numpy(tmp_path):
+    _run_fresh(_NO_NUMPY_SCRIPT, tmp_path)
+    assert main(["exact", "--d", "3", "--n", "40", "--out", str(tmp_path / "numpy.csv")]) == 0
+    assert (tmp_path / "exact.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
 
 def test_drivers_that_would_loop_forever_reject_their_inputs(tmp_path):

@@ -9,8 +9,8 @@ compute, so each can be checked against the others:
   limit-law moments in exact rational (or controlled high-precision)
   arithmetic.
 * :mod:`chainrec.samplers` / :mod:`chainrec.stats` -- three independent
-  simulators of the chain-record count plus the estimation and testing
-  harness that cross-validates them against the exact engine.
+  simulators of the chain-record count plus the summaries and the
+  chi-square test that cross-validate them against the exact engine.
 
 ``chainrec.cli`` wires everything into the ``chainrec`` command; the
 ``verify`` subcommand runs the acceptance suite.
@@ -62,11 +62,8 @@ _EXPORTS = {
     "simulate_direct": "samplers",
     "simulate_insertion": "samplers",
     "simulate_sojourn": "samplers",
-    "CltDiagnostics": "stats",
     "ExperimentSummary": "stats",
     "TestResult": "stats",
-    "clt_diagnostics": "stats",
-    "estimate": "stats",
     "regression_slope": "stats",
     "two_sample_test": "stats",
 }

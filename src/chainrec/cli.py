@@ -213,13 +213,23 @@ def _cmd_exact(args, config) -> int:
     ]
     # expected counts are running sums of the probabilities (linearity)
     expected = [Fraction(0)] * 3
-    for n in range(1, n_max + 1):
-        probs = (chain[n - 1], exact.strong_record_prob(d, n), weak[n - 1])
-        expected = [e + p for e, p in zip(expected, probs)]
-        cells = [str(n)]
-        for q in (*probs, *expected):
-            cells += [str(q), exact.format_decimal15(q)]
-        lines.append(",".join(cells))
+    # Python's default 4300-digit limit on int-to-string conversion would
+    # fail the table after the work (near n=1195 at d=3); --n-cap already
+    # bounds that work.  Python 3.10.0-3.10.6 has no limit to lift.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for n in range(1, n_max + 1):
+            probs = (chain[n - 1], exact.strong_record_prob(d, n), weak[n - 1])
+            expected = [e + p for e, p in zip(expected, probs)]
+            cells = [str(n)]
+            for q in (*probs, *expected):
+                cells += [str(q), exact.format_decimal15(q)]
+            lines.append(",".join(cells))
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
     _emit("\n".join(lines) + "\n", _resolve_out(args.out))
     return 0
 

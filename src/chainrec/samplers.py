@@ -34,10 +34,9 @@ m = 8192 where the block held 65.5 MB at n = 1000.
 
 Scalar functions take a generator from :func:`chainrec.rng.make_stream`
 and are pure given that stream.  Every batch result -- the ``sample_*``
-functions here and :func:`chainrec.stats.estimate` -- comes from one
-driver, :func:`_run_chunked`: chunk i of a task draws from substream i of
-the task's label and chunk results are merged in chunk order, so output
-is bit-identical for any worker count.
+functions -- comes from one driver, :func:`_run_chunked`: chunk i of a
+task draws from substream i of the task's label and chunk results are
+merged in chunk order, so output is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -310,11 +309,6 @@ def _run_chunked(chunk_fn, total, seed, label, chunk_size, workers):
     return np.concatenate(parts)
 
 
-def _per_replicate(draw, dtype=np.int64):
-    """Chunk function that calls the scalar sampler ``draw(gen)`` per replicate."""
-    return lambda gen, m: np.array([draw(gen) for _ in range(m)], dtype=dtype)
-
-
 def _log_sum_rows(u):
     """``np.log(u).sum(axis=1)`` for an (m, d) array, bit for bit.
 
@@ -567,7 +561,9 @@ def sample_chain_counts(
             fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)[0]
         else:
             m = chunk_size
-            fn = _per_replicate(lambda gen: len(_direct_scan(gen, d, n, n)[0]))
+            fn = lambda gen, k: np.array(
+                [len(_direct_scan(gen, d, n, n)[0]) for _ in range(k)], dtype=np.int64
+            )
     elif method == "sojourn":
         m = chunk_size
         fn = lambda gen, k: _sojourn_counts_chunk(gen, d, n, k)

@@ -1,23 +1,19 @@
-"""Monte Carlo estimation, distributional tests and growth diagnostics.
+"""Summaries, the chi-square two-sample test and growth-slope fits.
 
-Every estimate is a deterministic function of its seed: it runs on the
-samplers' chunked driver with one replicate per chunk, so replicate i
-draws from the stream keyed by (seed, task label, i), aggregation runs in
-replicate order and worker counts never change results.  The chi-square
-test needs only the standard library; scipy, an optional dependency (the
-``stats`` extra), is imported only inside the Kolmogorov-Smirnov test and
-:func:`clt_diagnostics`.
+These are what the commands and the acceptance criteria run: ``simulate``
+reports :func:`summarize`, c06 and c11 compare integer counts with
+:func:`two_sample_test` at a :func:`bonferroni` level, and c10 fits
+log-n growth with :func:`regression_slope`.  The chi-square tail is in
+closed form, so the module needs numpy and the standard library only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-
-from chainrec.samplers import _per_replicate, _run_chunked
 
 
 @dataclass(frozen=True)
@@ -49,39 +45,6 @@ class TestResult:
     reject: bool
     statistic: float
     pvalue: float
-    kind: str  # "ks" or "chisq"
-
-
-@dataclass(frozen=True)
-class CltDiagnostics:
-    """Shape diagnostics of a record-count sample against its Gaussian target."""
-
-    mean_over_log_n: float
-    var_over_log_n: float
-    skewness: float
-    excess_kurtosis: float
-    ks_distance_to_fitted_normal: float
-
-
-def estimate(
-    sampler: Callable[[np.random.Generator], float],
-    replicates: int,
-    seed: int,
-    *,
-    label: str = "estimate",
-    params: Mapping | None = None,
-    workers: int = 1,
-) -> ExperimentSummary:
-    """Mean and standard error of a replicate-valued procedure.
-
-    ``sampler`` receives the generator of its own replicate stream and
-    returns one float.  Needs at least two replicates for a standard
-    error.
-    """
-    if replicates < 2:
-        raise ValueError("need at least 2 replicates for a standard error")
-    values = _run_chunked(_per_replicate(sampler, float), replicates, seed, label, 1, workers)
-    return summarize(values, label, seed, params)
 
 
 def summarize(
@@ -105,20 +68,22 @@ def summarize(
 
 
 def _is_integer_valued(a: np.ndarray) -> bool:
-    return np.issubdtype(a.dtype, np.integer) or bool(np.all(a == np.round(a)))
+    if np.issubdtype(a.dtype, np.integer):
+        return True
+    # an infinity equals its rounding but has no int64 bin
+    return bool(np.all(np.isfinite(a) & (a == np.round(a))))
 
 
 def two_sample_test(
     a: Sequence[float],
     b: Sequence[float],
     significance: float = 0.01,
-    kind: str = "auto",
 ) -> TestResult:
-    """Test whether two samples share a distribution.
+    """Test whether two integer-valued samples share a distribution.
 
-    Integer-valued data gets a chi-square over pooled bins (each expected
-    count at least 5); continuous data gets the two-sample
-    Kolmogorov-Smirnov test.  ``kind`` forces "chisq" or "ks".
+    A chi-square over the values, adjacent values pooled until both
+    expected counts of a bin reach 5.  Raises ValueError on a sample with
+    a non-integer value.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -126,21 +91,13 @@ def two_sample_test(
         raise ValueError("both samples must be nonempty")
     if not 0 < significance < 1:
         raise ValueError("significance must be in (0, 1)")
-    if kind == "auto":
-        kind = "chisq" if (_is_integer_valued(a) and _is_integer_valued(b)) else "ks"
-    if kind == "ks":
-        import scipy.stats
-
-        stat, pvalue = scipy.stats.ks_2samp(a, b)
-    elif kind == "chisq":
-        stat, pvalue = _chi_square_two_sample(a.astype(np.int64), b.astype(np.int64))
-    else:
-        raise ValueError(f"unknown test kind {kind!r}")
+    if not (_is_integer_valued(a) and _is_integer_valued(b)):
+        raise ValueError("the chi-square test needs integer-valued samples")
+    stat, pvalue = _chi_square_two_sample(a.astype(np.int64), b.astype(np.int64))
     return TestResult(
         reject=bool(pvalue < significance),
         statistic=float(stat),
         pvalue=float(pvalue),
-        kind=kind,
     )
 
 
@@ -169,9 +126,10 @@ def _chi_square_tail(dof: int, stat: float) -> float:
 
 
 def _chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    values = np.union1d(a, b)
-    oa = np.array([int((a == v).sum()) for v in values], dtype=float)
-    ob = np.array([int((b == v).sum()) for v in values], dtype=float)
+    # counts per distinct value, in increasing value order
+    values, index = np.unique(np.concatenate([a, b]), return_inverse=True)
+    oa = np.bincount(index[: a.size], minlength=values.size).astype(float)
+    ob = np.bincount(index[a.size :], minlength=values.size).astype(float)
     na, nb = float(a.size), float(b.size)
     share_a, share_b = na / (na + nb), nb / (na + nb)
     # pool adjacent value bins until both expected counts reach 5
@@ -203,35 +161,6 @@ def _chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     stat = float(((obs_a - exp_a) ** 2 / exp_a).sum() + ((obs_b - exp_b) ** 2 / exp_b).sum())
     dof = len(bins_a) - 1
     return stat, _chi_square_tail(dof, stat)
-
-
-def clt_diagnostics(samples: Sequence[float], d: int, n: int) -> CltDiagnostics:
-    """Growth and shape diagnostics of record counts at horizon n.
-
-    Reports mean/log(n) and var/log(n) (their targets are 1/d and 1/d**2)
-    plus shape statistics; thresholds live with the caller because the
-    asymptotics come with no rate.
-    """
-    import scipy.stats
-
-    samples = np.asarray(samples, dtype=float)
-    if n < 1000:
-        raise ValueError("diagnostics need horizon n >= 1000")
-    if samples.size < 1000:
-        raise ValueError("diagnostics need at least 1000 replicates")
-    if samples.std() == 0:
-        raise ValueError("degenerate sample: zero variance")
-    log_n = math.log(n)
-    mean = samples.mean()
-    std = samples.std(ddof=1)
-    ks = scipy.stats.kstest(samples, scipy.stats.norm(loc=mean, scale=std).cdf).statistic
-    return CltDiagnostics(
-        mean_over_log_n=float(mean / log_n),
-        var_over_log_n=float(samples.var(ddof=1) / log_n),
-        skewness=float(scipy.stats.skew(samples)),
-        excess_kurtosis=float(scipy.stats.kurtosis(samples)),
-        ks_distance_to_fitted_normal=float(ks),
-    )
 
 
 def regression_slope(pairs: Sequence[tuple[float, float]]) -> float:

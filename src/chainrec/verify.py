@@ -4,8 +4,9 @@ Each criterion compares one computational route against an independent
 oracle -- a closed form, the exact rational engine, or another simulator
 of the same law -- and reports {value, target, tolerance, pass}.  Monte
 Carlo comparisons use 4 standard errors; families of distribution tests
-run at a Bonferroni-corrected 0.01.  No criterion needs scipy: c06 and c11
-run the chi-square test, whose tail is a closed form.
+run at a Bonferroni-corrected 0.01.  c06 and c11 compare integer counts
+with the chi-square test of :mod:`chainrec.stats`, whose tail is a closed
+form.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def c06_three_simulators(seed, overrides, workers=1):
             for m in ("direct", "sojourn", "insertion")
         }
         for m1, m2 in pairs:
-            res = stats.two_sample_test(counts[m1], counts[m2], significance=alpha, kind="chisq")
+            res = stats.two_sample_test(counts[m1], counts[m2], significance=alpha)
             min_p = min(min_p, res.pvalue)
     return [
         CriterionResult(
@@ -387,7 +388,7 @@ def c11_hyperbolic_invariance(seed, overrides, workers=1):
     counts_b = samplers.sample_window_counts(
         2, image, reps, seed=seed, label="verify:c11:image", workers=workers
     )
-    res = stats.two_sample_test(counts_a, counts_b, significance=alpha, kind="chisq")
+    res = stats.two_sample_test(counts_a, counts_b, significance=alpha)
     return [
         CriterionResult(
             "c11",

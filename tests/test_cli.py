@@ -207,6 +207,23 @@ def test_exact_weak_column_matches_alternating_sum(capsys, d):
     assert weak == [str(exact.weak_record_prob(d, n)) for n in range(1, 61)]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int-to-string digit limit")
+def test_exact_formats_past_the_int_digit_limit(tmp_path):
+    # at n=300 the d=3 expected chain count has about 900 digits, past the
+    # smallest limit Python allows
+    reference, limited = tmp_path / "reference.csv", tmp_path / "limited.csv"
+    assert main(["exact", "--d", "3", "--n", "300", "--out", str(reference)]) == 0
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["exact", "--d", "3", "--n", "300", "--out", str(limited)]) == 0
+        assert sys.get_int_max_str_digits() == 640  # the command restores the limit
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert limited.read_bytes() == reference.read_bytes()
+
+
 def test_exact_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["exact", "--d", "2", "--n", "30", "--out", str(a)])
@@ -502,69 +519,38 @@ def test_verify_tolerance_override_can_force_failure(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# scipy is loaded only where a statistical test runs; nothing needs mpmath
+# the package needs neither scipy nor mpmath: with both blocked, every module
+# imports and every command, the fast gate suites and the chi-square test run
 
-_IMPORT_SPLIT_SCRIPT = """
+_NO_SCIPY_SCRIPT = """
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-import chainrec.cli
-assert not scipy_modules(), ("import chainrec.cli", scipy_modules()[:3])
+sys.modules["scipy"] = sys.modules["mpmath"] = None  # importing either now raises ImportError
+import chainrec
+for module in pkgutil.iter_modules(chainrec.__path__):
+    importlib.import_module(f"chainrec.{module.name}")
 
 from chainrec.cli import main
 work = Path(sys.argv[1])
 marks = work / "marks.csv"
 marks.write_text("x1,x2\\n0.9,0.9\\n0.5,0.5\\n0.7,0.2\\n0.3,0.1\\n")
 for argv in (
-    ["exact", "--d", "2", "--n", "20"],
+    ["exact", "--d", "3", "--n", "40"],
     ["detect", "--in", str(marks)],
-    ["simulate", "--what", "chain-count", "--method", "sojourn", "--d", "2",
-     "--n", "100", "--replicates", "20", "--seed", "1"],
-    ["limits", "--kind", "y", "--d", "2", "--replicates", "20", "--seed", "1"],
-    ["verify", "--suite", "exact"],
-):
-    assert main([*argv, "--out", str(work / argv[0])]) == 0, argv
-    assert not scipy_modules(), (argv[0], scipy_modules()[:3])
-
-from chainrec import stats
-assert stats.two_sample_test([0, 1, 1, 2] * 20, [1, 0, 2, 1] * 20, kind="chisq").kind == "chisq"
-assert not scipy_modules(), ("the chi-square test", scipy_modules()[:3])
-assert stats.two_sample_test([0.1, 0.5, 0.9], [0.2, 0.6, 0.7], kind="ks").kind == "ks"
-assert "scipy.stats" in sys.modules
-print("ok")
-"""
-
-_NO_MPMATH_SCRIPT = """
-import sys
-from pathlib import Path
-
-sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
-from chainrec.cli import main
-work = Path(sys.argv[1])
-assert main(["exact", "--d", "3", "--n", "40", "--out", str(work / "exact.csv")]) == 0
-assert main(["verify", "--suite", "exact", "--out", str(work / "verify")]) == 0
-print("ok")
-"""
-
-
-_NO_SCIPY_SCRIPT = """
-import sys
-from pathlib import Path
-
-sys.modules["scipy"] = None  # any import of scipy now raises ImportError
-from chainrec.cli import main
-work = Path(sys.argv[1])
-for argv in (
     *(["simulate", "--method", method, "--d", "2", "--n", "100", "--replicates", "50",
        "--seed", "1"] for method in ("direct", "sojourn", "insertion")),
     ["limits", "--kind", "y", "--d", "2", "--replicates", "50", "--seed", "1"],
     ["limits", "--kind", "window", "--d", "2", "--window", "0.25,1.0,4.0", "--seed", "1"],
+    ["verify", "--suite", "exact"],
     ["verify", "--suite", "limit"],
 ):
     assert main([*argv, "--out", str(work / argv[0])]) == 0, argv
+
+from chainrec.stats import two_sample_test
+assert not two_sample_test([0, 1, 1, 2] * 20, [1, 0, 2, 1] * 20).reject
 print("ok")
 """
 
@@ -620,7 +606,7 @@ print("ok")
 
 
 def _run_fresh(script, tmp_path):
-    # a fresh interpreter: this one has imported scipy already
+    # a fresh interpreter: this one has imported scipy and numpy already
     import_root = str(Path(chainrec.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [import_root, inherited])))
@@ -635,15 +621,7 @@ def _run_fresh(script, tmp_path):
     assert proc.stdout.splitlines()[-1] == "ok"
 
 
-def test_commands_without_tests_do_not_load_scipy(tmp_path):
-    _run_fresh(_IMPORT_SPLIT_SCRIPT, tmp_path)
-
-
-def test_exact_commands_run_without_mpmath(tmp_path):
-    _run_fresh(_NO_MPMATH_SCRIPT, tmp_path)
-
-
-def test_commands_and_the_limit_suite_run_without_scipy(tmp_path):
+def test_package_runs_without_scipy_or_mpmath(tmp_path):
     _run_fresh(_NO_SCIPY_SCRIPT, tmp_path)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from chainrec import samplers, stats
+from chainrec import samplers
 from chainrec.cli import main
 from chainrec.rng import make_stream, stream_id
 from conftest import ELEVEN_POINT_MARKS, FOUR_POINT_MARKS
@@ -100,14 +100,6 @@ def _scans(d, max_marks, max_records, streams) -> bytes:
     return repr([(tuple(times), tuple(heights), drawn) for times, heights, drawn in scans]).encode()
 
 
-def _estimate() -> bytes:
-    summary = stats.estimate(
-        lambda gen: float(samplers.simulate_sojourn(gen, 2, 1000).count),
-        300, SEED, label="golden:estimate", workers=2,
-    )
-    return repr(summary.as_dict()).encode()
-
-
 LIBRARY_CASES = {
     "chain-counts-direct": lambda: samplers.sample_chain_counts(
         "direct", 3, 30, 5000, seed=SEED, label="golden:direct", chunk_size=1500).tobytes(),
@@ -122,7 +114,6 @@ LIBRARY_CASES = {
         3, 20, 5000, seed=SEED, label="golden:flags", chunk_size=1500, workers=2).tobytes(),
     "window-counts": lambda: samplers.sample_window_counts(
         2, (0.25, 1.0, 4.0), 300, seed=SEED, label="golden:window", chunk_size=128).tobytes(),
-    "estimate": _estimate,
     "simulate-direct-traces": lambda: _traces(
         samplers.simulate_direct(g, 2, 20000) for g in _streams("golden:direct-trace", 5)),
     # the direct scan stopped at a record count, then by its mark cap

@@ -519,40 +519,57 @@ def test_verify_tolerance_override_can_force_failure(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the package needs neither scipy nor mpmath: with both blocked, every module
-# imports and every command, the fast gate suites and the chi-square test run
+# the package needs neither scipy nor mpmath. The script blocks the modules
+# named in argv[2] (comma-separated, may be empty), imports every submodule,
+# runs the commands named in argv[3:] and then the chi-square test, and
+# requires that no scipy module is loaded after each step.
 
-_NO_SCIPY_SCRIPT = """
+_DEPENDENCY_GUARD_SCRIPT = """
 import importlib
 import pkgutil
 import sys
 from pathlib import Path
 
-sys.modules["scipy"] = sys.modules["mpmath"] = None  # importing either now raises ImportError
+for name in filter(None, sys.argv[2].split(",")):
+    sys.modules[name] = None  # importing it now raises ImportError
+
+def scipy_loaded():
+    return sorted(m for m, mod in sys.modules.items()
+                  if mod is not None and (m == "scipy" or m.startswith("scipy.")))
+
 import chainrec
 for module in pkgutil.iter_modules(chainrec.__path__):
     importlib.import_module(f"chainrec.{module.name}")
+assert not scipy_loaded(), ("import chainrec", scipy_loaded()[:3])
 
 from chainrec.cli import main
 work = Path(sys.argv[1])
 marks = work / "marks.csv"
 marks.write_text("x1,x2\\n0.9,0.9\\n0.5,0.5\\n0.7,0.2\\n0.3,0.1\\n")
-for argv in (
-    ["exact", "--d", "3", "--n", "40"],
-    ["detect", "--in", str(marks)],
-    *(["simulate", "--method", method, "--d", "2", "--n", "100", "--replicates", "50",
-       "--seed", "1"] for method in ("direct", "sojourn", "insertion")),
-    ["limits", "--kind", "y", "--d", "2", "--replicates", "50", "--seed", "1"],
-    ["limits", "--kind", "window", "--d", "2", "--window", "0.25,1.0,4.0", "--seed", "1"],
-    ["verify", "--suite", "exact"],
-    ["verify", "--suite", "limit"],
-):
-    assert main([*argv, "--out", str(work / argv[0])]) == 0, argv
+commands = {
+    "exact": ["exact", "--d", "3", "--n", "40"],
+    "detect": ["detect", "--in", str(marks)],
+    **{f"simulate-{method}": ["simulate", "--method", method, "--d", "2", "--n", "100",
+                              "--replicates", "50", "--seed", "1"]
+       for method in ("direct", "sojourn", "insertion")},
+    "limits-y": ["limits", "--kind", "y", "--d", "2", "--replicates", "50", "--seed", "1"],
+    "limits-window": ["limits", "--kind", "window", "--d", "2", "--window", "0.25,1.0,4.0",
+                      "--seed", "1"],
+    "verify-exact": ["verify", "--suite", "exact"],
+    "verify-limit": ["verify", "--suite", "limit"],
+}
+for label in sys.argv[3:]:
+    assert main([*commands[label], "--out", str(work / label)]) == 0, label
+    assert not scipy_loaded(), (label, scipy_loaded()[:3])
 
 from chainrec.stats import two_sample_test
 assert not two_sample_test([0, 1, 1, 2] * 20, [1, 0, 2, 1] * 20).reject
+assert not scipy_loaded(), ("the chi-square test", scipy_loaded()[:3])
 print("ok")
 """
+
+_EVERY_COMMAND = ("exact", "detect", "simulate-direct", "simulate-sojourn", "simulate-insertion",
+                  "limits-y", "limits-window", "verify-exact", "verify-limit")
 
 
 # numpy loads only with the commands that compute with arrays
@@ -605,13 +622,13 @@ print("ok")
 """
 
 
-def _run_fresh(script, tmp_path):
+def _run_fresh(script, tmp_path, *args):
     # a fresh interpreter: this one has imported scipy and numpy already
     import_root = str(Path(chainrec.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [import_root, inherited])))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
+        [sys.executable, "-c", script, str(tmp_path), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -621,8 +638,16 @@ def _run_fresh(script, tmp_path):
     assert proc.stdout.splitlines()[-1] == "ok"
 
 
-def test_package_runs_without_scipy_or_mpmath(tmp_path):
-    _run_fresh(_NO_SCIPY_SCRIPT, tmp_path)
+def test_commands_without_tests_do_not_load_scipy(tmp_path):
+    _run_fresh(_DEPENDENCY_GUARD_SCRIPT, tmp_path, "", *_EVERY_COMMAND)
+
+
+def test_commands_and_the_limit_suite_run_without_scipy(tmp_path):
+    _run_fresh(_DEPENDENCY_GUARD_SCRIPT, tmp_path, "scipy", *_EVERY_COMMAND)
+
+
+def test_exact_commands_run_without_mpmath(tmp_path):
+    _run_fresh(_DEPENDENCY_GUARD_SCRIPT, tmp_path, "mpmath", "exact", "verify-exact")
 
 
 def test_version_help_and_exact_run_without_numpy(tmp_path):

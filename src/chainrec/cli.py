@@ -83,14 +83,23 @@ def _resolve_out(out: str | None) -> Path | None:
 
 
 def _emit(text, path: Path | None) -> None:
-    """Write ``text``, one string or an iterable of strings, to ``path`` or stdout."""
+    """Write ``text``, one string or an iterable of strings, to ``path`` or stdout.
+
+    A file is renamed into place from a temporary name once complete, so a
+    failed run leaves ``path`` as it was.
+    """
     parts = [text] if isinstance(text, str) else text
     if path is None:
         sys.stdout.writelines(parts)
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.writelines(parts)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w") as fh:
+            fh.writelines(parts)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _meta_comment(command: str, seed, config: dict) -> str:
@@ -368,11 +377,10 @@ def _cmd_limits(args, config) -> int:
     kind = _opt(args, config, "kind", str, required=True)
     d = _opt(args, config, "d", int, required=True)
     seed = _opt(args, config, "seed", int, required=True)
-    trunc_tol = _opt(args, config, "truncation-tol", float)
     workers = _opt(args, config, "workers", int, default=1)
     if kind == "y":
         replicates = _opt(args, config, "replicates", int, required=True)
-        tol = trunc_tol if trunc_tol is not None else 1e-6
+        tol = _opt(args, config, "truncation-tol", float, default=1e-6)
         values, _ = samplers.sample_limit_variables(
             d, replicates, tolerance=tol, seed=seed,
             label=f"limits:y:d={d}:tol={tol}", workers=workers,
@@ -386,7 +394,7 @@ def _cmd_limits(args, config) -> int:
             s_lo, s_hi, t_hi = (float(x) for x in window_arg.split(","))
         except ValueError:
             raise ValueError(f"--window expects s_lo,s_hi,t_hi, got {window_arg!r}") from None
-        tol = trunc_tol if trunc_tol is not None else 1e-9
+        tol = _opt(args, config, "truncation-tol", float, default=1e-9)
         gen = make_stream(seed, stream_id(f"limits:window:d={d}:window={window_arg}:tol={tol}"))
         window = samplers.sample_limit_process(gen, d, (s_lo, s_hi, t_hi), tol)
         lines = [

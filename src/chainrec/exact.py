@@ -23,6 +23,8 @@ from fractions import Fraction
 
 DEFAULT_N_CAP = 500
 DEFAULT_DIGIT_CEILING = 10_000
+_MOMENT_TOL = 1e-12  # error target of moment_series
+_POISSON_TAIL = 1e-12  # Poisson mass left out of poisson_weighted_chain_prob
 
 
 class CapExceededError(ValueError):
@@ -161,17 +163,12 @@ def expected_chain_count(d: int, n: int, *, n_cap: int = DEFAULT_N_CAP) -> Fract
 
 
 def moment_series(
-    d: int,
-    beta: int,
-    t: float,
-    *,
-    tolerance: float = 1e-12,
-    max_digits: int = DEFAULT_DIGIT_CEILING,
+    d: int, beta: int, t: float, *, max_digits: int = DEFAULT_DIGIT_CEILING
 ) -> float:
     """Moment of order beta of the continuous-time record-height process.
 
     Evaluates sum_k (-t)^k/k! * prod_{j<k}(1 - mellin(d, j+beta)) to within
-    ``tolerance``.  The value is 1 at t=0 and nonincreasing in t.  Working
+    a fixed 1e-12.  The value is 1 at t=0 and nonincreasing in t.  Working
     precision grows linearly with t; past ``max_digits`` decimal digits the
     evaluation refuses -- for such t use the large-t asymptotics instead
     (t**beta * m -> limit_moment(d, beta)).
@@ -181,11 +178,9 @@ def moment_series(
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if not 0 < tolerance < 1:
-        raise ValueError("tolerance must be in (0, 1)")
     if t == 0:
         return 1.0
-    digits = max(30, int(t / math.log(10)) + int(-math.log10(tolerance)) + 21)
+    digits = int(t / math.log(10)) + int(-math.log10(_MOMENT_TOL)) + 21
     if digits > max_digits:
         raise CapExceededError(
             f"t={t} needs ~{digits} working digits (> ceiling {max_digits}); "
@@ -208,15 +203,13 @@ def moment_series(
         return float(total)
 
 
-def poisson_weighted_chain_prob(
-    d: int, t: float, *, tail_tol: float = 1e-12, n_cap: int = DEFAULT_N_CAP
-) -> float:
+def poisson_weighted_chain_prob(d: int, t: float, *, n_cap: int = DEFAULT_N_CAP) -> float:
     """Chain-record probability at index 1 + Poisson(t), averaged exactly.
 
     This is an independent route to ``moment_series(d, 1, t)`` -- the two
     must agree to ~1e-10, which is one of the acceptance cross-checks.
     The Poisson mixture is truncated once its remaining mass drops below
-    ``tail_tol``.
+    1e-12.
     """
     _check_dim(d)
     if t < 0:
@@ -225,7 +218,7 @@ def poisson_weighted_chain_prob(
     weights = [weight]
     cum = weight
     n = 0
-    while 1.0 - cum > tail_tol:
+    while 1.0 - cum > _POISSON_TAIL:
         n += 1
         if n + 1 > n_cap:
             raise CapExceededError(

@@ -37,6 +37,9 @@ and are pure given that stream.  Every batch result -- the ``sample_*``
 functions -- comes from one driver, :func:`_run_chunked`: chunk i of a
 task draws from substream i of the task's label and chunk results are
 merged in chunk order, so output is bit-identical for any worker count.
+Sizes are constants, not options, as chunk sizes decide which substream
+draws each replicate: :func:`_chunk` (``_CHUNK`` within ``_CHUNK_BUDGET``),
+``_WINDOW_CHUNK`` for window counts and ``_SCAN_BLOCK`` for the scan.
 """
 
 from __future__ import annotations
@@ -48,7 +51,10 @@ import numpy as np
 
 from chainrec.rng import make_stream, stream_id
 
-_CHUNK_BUDGET = 1 << 24  # doubles per chunk: bounds the chunk size of the array kernels
+_CHUNK = 8192  # replicates per chunk of a batch driver
+_CHUNK_BUDGET = 1 << 24  # doubles per chunk: bounds the chunk of the direct and insertion kernels
+_WINDOW_CHUNK = 1024  # replicates per chunk of the window-count driver
+_SCAN_BLOCK = 1 << 16  # marks per block of the growing-block direct scan
 _SUB_BLOCK = 1 << 22  # doubles drawn at once inside one direct-detection chunk
 _TILE = 64  # indices per contiguous tile of the direct and insertion kernels
 
@@ -88,15 +94,34 @@ class LimitProcessWindow:
 # scalar samplers
 
 
+def _check_horizon(d, n):
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
+
+
+def _check_tolerance(d, tolerance):
+    if d < 1:
+        raise ValueError("need d >= 1")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+
+
+def _check_window(d, window, truncation_tol):
+    _check_tolerance(d, truncation_tol)
+    s_lo, s_hi, t_hi = window
+    if not 0 < s_lo < s_hi or t_hi <= 0:
+        raise ValueError("window must satisfy 0 < s_lo < s_hi and t_hi > 0")
+
+
 def sample_height_factor(rng: np.random.Generator, d: int) -> float:
     """One height factor: the product of d independent uniforms."""
     return float(_height_factor_column(rng, d, 1)[0])
 
 
-def _direct_scan(rng, d, max_marks, max_records, block_size=1 << 16):
+def _direct_scan(rng, d, max_marks, max_records):
     """Chain records among up to ``max_marks`` marks, stopping at ``max_records``.
 
-    Blocks grow geometrically from 1024 marks to ``block_size``, since
+    Blocks grow geometrically from 1024 marks to ``_SCAN_BLOCK``, since
     records are dense early and waiting times are heavy tailed.  Returns
     the record times, their heights and the number of marks drawn.
     """
@@ -106,7 +131,7 @@ def _direct_scan(rng, d, max_marks, max_records, block_size=1 << 16):
     produced = 0
     grow = 1024
     while produced < max_marks and len(times) < max_records:
-        m = min(grow, block_size, max_marks - produced)
+        m = min(grow, _SCAN_BLOCK, max_marks - produced)
         grow *= 2
         block = rng.random((m, d))
         i = 0
@@ -134,17 +159,14 @@ def _direct_scan(rng, d, max_marks, max_records, block_size=1 << 16):
     return times, heights, produced
 
 
-def simulate_direct(
-    rng: np.random.Generator, d: int, n: int, *, block_size: int = 1 << 16
-) -> ChainRecordTrace:
+def simulate_direct(rng: np.random.Generator, d: int, n: int) -> ChainRecordTrace:
     """Chain-record trace of n uniform marks by direct detection, O(n*d).
 
     Consumes exactly n*d uniforms in mark order.
     """
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+    _check_horizon(d, n)
     # n marks hold at most n records, so the scan draws all of them
-    times, heights, _ = _direct_scan(rng, d, n, n, block_size)
+    times, heights, _ = _direct_scan(rng, d, n, n)
     return ChainRecordTrace(tuple(times), tuple(heights), n, d)
 
 
@@ -162,8 +184,7 @@ def simulate_sojourn(rng: np.random.Generator, d: int, n: int) -> ChainRecordTra
     moves a gap of 10^13 or more by one, so by n = 10^15 some record times
     differ.  Both are draws of the same law.
     """
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+    _check_horizon(d, n)
     log_h = float(np.log(rng.random(d)).sum())
     times = [1]
     heights = [math.exp(log_h)]
@@ -187,8 +208,7 @@ def simulate_sojourn(rng: np.random.Generator, d: int, n: int) -> ChainRecordTra
 
 def simulate_insertion(rng: np.random.Generator, d: int, n: int) -> int:
     """Chain-record count by insertion: :func:`_insertion_counts_chunk` at m=1."""
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+    _check_horizon(d, n)
     return int(_insertion_counts_chunk(rng, d, n, 1)[0])
 
 
@@ -196,10 +216,7 @@ def sample_limit_variable(
     rng: np.random.Generator, d: int, tolerance: float = 1e-6
 ) -> float:
     """One limit-variable draw: :func:`_limit_variable_chunk` at m=1."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(d, tolerance)
     return float(_limit_variable_chunk(rng, d, tolerance, 1)[0][0])
 
 
@@ -214,16 +231,6 @@ def _straddle(rng, d, m):
     straddle = rng.gamma(d + 1, size=m)
     x0 = rng.random(m) * straddle
     return x0 - straddle, x0
-
-
-def _check_window(d, window, truncation_tol):
-    s_lo, s_hi, t_hi = window
-    if d < 1:
-        raise ValueError("need d >= 1")
-    if not 0 < s_lo < s_hi or t_hi <= 0:
-        raise ValueError("window must satisfy 0 < s_lo < s_hi and t_hi > 0")
-    if truncation_tol <= 0:
-        raise ValueError("truncation tolerance must be positive")
 
 
 def sample_limit_process(
@@ -274,25 +281,24 @@ def sample_limit_process(
 
 # ---------------------------------------------------------------------------
 # chunked batch drivers
-#
-# Chunk i of a task draws from make_stream(seed, stream_id(label), i); the
-# chunk layout depends only on the parameters, so any worker count yields
-# identical results.
 
 
-def _run_chunked(chunk_fn, total, seed, label, chunk_size, workers):
+def _chunk(doubles_per_replicate=1):
+    """Replicates per chunk: ``_CHUNK``, fewer where a chunk would pass ``_CHUNK_BUDGET`` doubles."""
+    return max(1, min(_CHUNK, _CHUNK_BUDGET // doubles_per_replicate))
+
+
+def _run_chunked(chunk_fn, total, seed, label, chunk, workers):
     """``chunk_fn(gen, m)`` over ``total`` replicates in chunks, merged in order.
 
-    Chunks hold ``chunk_size`` replicates (the last one the remainder) and
-    chunk i draws from substream i of ``label``.  Chunk results are arrays,
-    or tuples of arrays, concatenated along their first axis.
+    Chunks hold ``chunk`` replicates (the last one the remainder) and chunk
+    i draws from substream i of ``label``.  Chunk results are arrays, or
+    tuples of arrays, concatenated along their first axis.
     """
     if total < 1:
         raise ValueError("replicates must be >= 1")
     sid = stream_id(label)
-    sizes = [chunk_size] * (total // chunk_size)
-    if total % chunk_size:
-        sizes.append(total % chunk_size)
+    sizes = [min(chunk, total - lo) for lo in range(0, total, chunk)]
 
     def one(i):
         return chunk_fn(make_stream(seed, sid, i), sizes[i])
@@ -529,10 +535,6 @@ def _window_counts_chunk(gen, d, window, truncation_tol, m):
     return counts
 
 
-def _clamped_chunk(chunk_size, doubles_per_item):
-    return max(1, min(chunk_size, _CHUNK_BUDGET // max(1, doubles_per_item)))
-
-
 def sample_chain_counts(
     method: str,
     d: int,
@@ -541,7 +543,6 @@ def sample_chain_counts(
     *,
     seed: int,
     label: str | None = None,
-    chunk_size: int = 8192,
     workers: int = 1,
 ) -> np.ndarray:
     """Chain-record counts at horizon n from one of the three simulators.
@@ -552,23 +553,22 @@ def sample_chain_counts(
     """
     if method not in ("direct", "sojourn", "insertion"):
         raise ValueError(f"unknown method {method!r}")
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+    _check_horizon(d, n)
     label = label or f"chain-counts:{method}:d={d}:n={n}"
     if method == "direct":
         if n <= 4096:
-            m = _clamped_chunk(chunk_size, n * d)
+            m = _chunk(n * d)
             fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)[0]
         else:
-            m = chunk_size
+            m = _chunk()
             fn = lambda gen, k: np.array(
                 [len(_direct_scan(gen, d, n, n)[0]) for _ in range(k)], dtype=np.int64
             )
     elif method == "sojourn":
-        m = chunk_size
+        m = _chunk()
         fn = lambda gen, k: _sojourn_counts_chunk(gen, d, n, k)
     else:
-        m = _clamped_chunk(chunk_size, n)
+        m = _chunk(n)
         fn = lambda gen, k: _insertion_counts_chunk(gen, d, n, k)
     return _run_chunked(fn, replicates, seed, label, m, workers)
 
@@ -580,7 +580,6 @@ def sample_chain_flag_totals(
     *,
     seed: int,
     label: str | None = None,
-    chunk_size: int = 8192,
     workers: int = 1,
 ) -> np.ndarray:
     """Per-index chain-record totals over replicates of direct detection.
@@ -589,12 +588,10 @@ def sample_chain_flag_totals(
     chain record; dividing by ``replicates`` estimates the per-index
     probability.
     """
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+    _check_horizon(d, n)
     label = label or f"chain-flags:d={d}:n={n}"
     fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)[1]
-    m = _clamped_chunk(chunk_size, n * d)
-    return _run_chunked(fn, replicates, seed, label, m, workers).sum(axis=0)
+    return _run_chunked(fn, replicates, seed, label, _chunk(n * d), workers).sum(axis=0)
 
 
 def sample_renewal_counts(
@@ -604,15 +601,13 @@ def sample_renewal_counts(
     *,
     seed: int,
     label: str | None = None,
-    chunk_size: int = 8192,
     workers: int = 1,
 ) -> np.ndarray:
     """Renewal counts: stick-breaking heights above 1/n, per replicate."""
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+    _check_horizon(d, n)
     label = label or f"renewal-counts:d={d}:n={n}"
     fn = lambda gen, k: _renewal_counts_chunk(gen, d, n, k)
-    return _run_chunked(fn, replicates, seed, label, chunk_size, workers)
+    return _run_chunked(fn, replicates, seed, label, _chunk(), workers)
 
 
 def sample_poisson_paced_terminals(
@@ -623,7 +618,6 @@ def sample_poisson_paced_terminals(
     b0: float = 1.0,
     seed: int,
     label: str | None = None,
-    chunk_size: int = 8192,
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jump counts, path integrals and terminal states of the paced process."""
@@ -631,7 +625,7 @@ def sample_poisson_paced_terminals(
         raise ValueError("need d >= 1, t_horizon > 0 and b0 > 0")
     label = label or f"poisson-paced:d={d}:t={t_horizon}:b0={b0}"
     fn = lambda gen, k: _poisson_paced_chunk(gen, d, t_horizon, b0, k)
-    return _run_chunked(fn, replicates, seed, label, chunk_size, workers)
+    return _run_chunked(fn, replicates, seed, label, _chunk(), workers)
 
 
 def sample_limit_variables(
@@ -641,17 +635,13 @@ def sample_limit_variables(
     tolerance: float = 1e-6,
     seed: int,
     label: str | None = None,
-    chunk_size: int = 8192,
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Limit-variable draws plus the series stop index of each draw."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(d, tolerance)
     label = label or f"limit-variable:d={d}:tol={tolerance}"
     fn = lambda gen, k: _limit_variable_chunk(gen, d, tolerance, k)
-    return _run_chunked(fn, replicates, seed, label, chunk_size, workers)
+    return _run_chunked(fn, replicates, seed, label, _chunk(), workers)
 
 
 def sample_window_counts(
@@ -662,11 +652,10 @@ def sample_window_counts(
     truncation_tol: float = 1e-9,
     seed: int,
     label: str | None = None,
-    chunk_size: int = 1024,
     workers: int = 1,
 ) -> np.ndarray:
     """Point counts of independent limit-process draws in a fixed window."""
     _check_window(d, window, truncation_tol)
     label = label or f"window-counts:d={d}:window={window}:tol={truncation_tol}"
     fn = lambda gen, k: _window_counts_chunk(gen, d, window, truncation_tol, k)
-    return _run_chunked(fn, replicates, seed, label, chunk_size, workers)
+    return _run_chunked(fn, replicates, seed, label, _WINDOW_CHUNK, workers)

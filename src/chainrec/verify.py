@@ -59,6 +59,12 @@ def _tol(overrides, key, default):
     return float(overrides.get(key, default)) if overrides else default
 
 
+def _bounded(criterion, name, oracle, value, overrides, default=0.0):
+    """A result with target 0 that passes iff ``value`` is at most its tolerance."""
+    tolerance = _tol(overrides, criterion, default)
+    return CriterionResult(criterion, name, oracle, value, 0.0, tolerance, value <= tolerance)
+
+
 def _z_score(sample_mean, target, sample_sd, n):
     se = sample_sd / math.sqrt(n)
     diff = abs(sample_mean - target)
@@ -82,14 +88,12 @@ def c01_closed_forms(seed, overrides, workers=1):
         if table2[n - 1] != Fraction(1, 2 * n):
             mismatches += 1
     return [
-        CriterionResult(
+        _bounded(
             "c01",
             "exact chain probabilities match the low-dimension closed forms",
             "closed forms 1/n (d=1) and 1/(2n) (d=2), exact rational equality",
-            float(mismatches),
-            0.0,
-            _tol(overrides, "c01", 0.0),
-            mismatches == 0,
+            mismatches,
+            overrides,
         )
     ]
 
@@ -106,18 +110,16 @@ def c02_second_index(seed, overrides, workers=1):
     beats = (second <= first).all(axis=1) & (second < first).any(axis=1)
     phat = float(beats.mean())
     z = _z_score(phat, 0.125, float(beats.std(ddof=1)), reps)
-    tolerance = _tol(overrides, "c02", 4.0)
     value = z if mismatches == 0 else math.inf
     return [
-        CriterionResult(
+        _bounded(
             "c02",
             "second-index record probability is 2^-d, exactly and empirically",
             "exact equality for d=1..6 plus direct-sampling beat frequency at d=3 "
             f"({reps} replicates, z-units)",
             value,
-            0.0,
-            tolerance,
-            value <= tolerance,
+            overrides,
+            4.0,
         )
     ]
 
@@ -132,14 +134,12 @@ def c03_probability_ordering(seed, overrides, workers=1):
             if not exact.strong_record_prob(d, n) <= chain[n - 1] <= weak[n - 1]:
                 violations += 1
     return [
-        CriterionResult(
+        _bounded(
             "c03",
             "record probabilities are ordered strong <= chain <= weak",
             "exact rational comparison for n <= 100, d <= 5",
-            float(violations),
-            0.0,
-            _tol(overrides, "c03", 0.0),
-            violations == 0,
+            violations,
+            overrides,
         )
     ]
 
@@ -149,7 +149,7 @@ def c04_poisson_mixture(seed, overrides, workers=1):
     worst = 0.0
     for d, t in product((1, 2, 3), (0.5, 1.0, 2.0, 5.0)):
         lhs = exact.moment_series(d, 1, t)
-        rhs = exact.poisson_weighted_chain_prob(d, t, tail_tol=1e-12)
+        rhs = exact.poisson_weighted_chain_prob(d, t)
         worst = max(worst, abs(lhs - rhs))
     tolerance = _tol(overrides, "c04", 1e-10)
     return [
@@ -244,7 +244,6 @@ def c06_three_simulators(seed, overrides, workers=1):
 def c07_monte_carlo_vs_exact(seed, overrides, workers=1):
     """Empirical record frequencies and count means match the exact engine."""
     reps = 100_000
-    tolerance = _tol(overrides, "c07", 4.0)
     worst = 0.0
     for d in (1, 2, 3):
         totals = samplers.sample_chain_flag_totals(
@@ -263,15 +262,14 @@ def c07_monte_carlo_vs_exact(seed, overrides, workers=1):
         target = float(exact.expected_chain_count(d, 100))
         worst = max(worst, _z_score(float(counts.mean()), target, float(counts.std(ddof=1)), reps))
     return [
-        CriterionResult(
+        _bounded(
             "c07",
             "direct-simulation frequencies and means match the exact engine",
             "exact per-index probabilities (n<=20, d<=3) and the exact expected count "
             f"at n=100, {reps} replicates, z-units",
             worst,
-            0.0,
-            tolerance,
-            worst <= tolerance,
+            overrides,
+            4.0,
         )
     ]
 
@@ -279,7 +277,6 @@ def c07_monte_carlo_vs_exact(seed, overrides, workers=1):
 def c08_limit_moments(seed, overrides, workers=1):
     """Sampled limit-variable moments match their exact closed forms."""
     reps = 1_000_000
-    tolerance = _tol(overrides, "c08", 4.0)
     worst = 0.0
     for d in (1, 2, 3):
         values, _ = samplers.sample_limit_variables(
@@ -289,14 +286,13 @@ def c08_limit_moments(seed, overrides, workers=1):
             target = float(exact.limit_moment(d, beta))
             worst = max(worst, _z_score(float(data.mean()), target, float(data.std(ddof=1)), reps))
     return [
-        CriterionResult(
+        _bounded(
             "c08",
             "limit-variable moments match the exact moment formula",
             f"series sampler vs exact moments, beta<=2, d<=3, {reps} draws, z-units",
             worst,
-            0.0,
-            tolerance,
-            worst <= tolerance,
+            overrides,
+            4.0,
         )
     ]
 
@@ -304,21 +300,19 @@ def c08_limit_moments(seed, overrides, workers=1):
 def c09_compensator(seed, overrides, workers=1):
     """Path integral of the paced height process compensates its jump count."""
     reps = 100_000
-    tolerance = _tol(overrides, "c09", 4.0)
     counts, integrals, _ = samplers.sample_poisson_paced_terminals(
         2, 5.0, reps, seed=seed, label="verify:c09", workers=workers
     )
     diff = integrals - counts
     z = _z_score(float(diff.mean()), 0.0, float(diff.std(ddof=1)), reps)
     return [
-        CriterionResult(
+        _bounded(
             "c09",
             "path integral compensates the jump count of the paced process",
             f"paired mean difference over {reps} paths at t=5, d=2, z-units",
             z,
-            0.0,
-            tolerance,
-            z <= tolerance,
+            overrides,
+            4.0,
         )
     ]
 
@@ -331,8 +325,6 @@ def c10_growth_slopes(seed, overrides, workers=1):
     """Count means and variances grow like log(n)/d and log(n)/d^2."""
     reps = 10_000
     horizons = (10**3, 10**4, 10**5, 10**6)
-    tol_mean = _tol(overrides, "c10-mean", 0.05)
-    tol_var = _tol(overrides, "c10-var", 0.15)
     worst_mean = 0.0
     worst_var = 0.0
     for d in (1, 2):
@@ -349,25 +341,23 @@ def c10_growth_slopes(seed, overrides, workers=1):
         worst_mean = max(worst_mean, abs(slope_mean - 1 / d) * d)
         worst_var = max(worst_var, abs(slope_var - 1 / d**2) * d**2)
     return [
-        CriterionResult(
+        _bounded(
             "c10-mean",
             "mean record count grows with slope 1/d in log n",
             "least-squares slope over n in {1e3..1e6}, sojourn simulator, "
             f"{reps} replicates per point, relative error",
             worst_mean,
-            0.0,
-            tol_mean,
-            worst_mean <= tol_mean,
+            overrides,
+            0.05,
         ),
-        CriterionResult(
+        _bounded(
             "c10-var",
             "count variance grows with slope 1/d^2 in log n",
             "least-squares slope over n in {1e3..1e6}, sojourn simulator, "
             f"{reps} replicates per point, relative error",
             worst_var,
-            0.0,
-            tol_var,
-            worst_var <= tol_var,
+            overrides,
+            0.15,
         ),
     ]
 
@@ -478,14 +468,12 @@ def c12_reproducibility(seed, overrides, workers=1):
             if blobs[0] != blobs[1]:
                 mismatches += 1
     return [
-        CriterionResult(
+        _bounded(
             "c12",
             "identical seeds give byte-identical outputs under any worker count",
             "CLI reruns of simulate/exact/limits compared byte for byte",
-            float(mismatches),
-            0.0,
-            _tol(overrides, "c12", 0.0),
-            mismatches == 0,
+            mismatches,
+            overrides,
         )
     ]
 
@@ -517,6 +505,8 @@ SUITES = {
 }
 SUITES["all"] = [c for suite in ("exact", "oracle", "asymptotic", "limit", "repro") for c in SUITES[suite]]
 
+TOLERANCE_KEYS = (*(f"c{i:02d}" for i in range(1, 10)), "c10-mean", "c10-var", "c11", "c12")
+
 
 def run_suite(
     suite: str,
@@ -528,6 +518,9 @@ def run_suite(
     """Run one named suite; ``report`` (if given) receives progress lines."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    for key in overrides or {}:
+        if key not in TOLERANCE_KEYS:
+            raise ValueError(f"unknown tolerance key {key!r}; choose from {list(TOLERANCE_KEYS)}")
     results: list[CriterionResult] = []
     for cid in SUITES[suite]:
         for res in CRITERIA[cid](seed, overrides or {}, workers):

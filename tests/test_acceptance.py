@@ -5,7 +5,9 @@ capture, so the lines always appear in the terminal).  Tolerances are
 pinned inside :mod:`chainrec.verify`; nothing here loosens them.
 """
 
+from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 import scipy.integrate
@@ -36,6 +38,40 @@ def test_suite_registry_covers_every_criterion():
     listed = [c for s in ("exact", "oracle", "asymptotic", "limit", "repro")
               for c in verify.SUITES[s]]
     assert sorted(listed) == sorted(CRITERIA)
+
+
+@pytest.mark.parametrize("tolerance", [None, 5.0])
+@pytest.mark.parametrize("cid", ["c01", "c03"])
+def test_exact_count_criteria_pass_iff_the_count_is_within_the_tolerance(
+    cid, tolerance, monkeypatch
+):
+    # one wrong d=1 entry: p_5 = 1 is neither 1/5 nor at most the weak p_5 = 1/5
+    table = exact.chain_record_prob_table
+
+    def one_wrong_entry(d, n_max, **kwargs):
+        probs = table(d, n_max, **kwargs)
+        return probs[:4] + (Fraction(1),) + probs[5:] if d == 1 else probs
+
+    monkeypatch.setattr(exact, "chain_record_prob_table", one_wrong_entry)
+    overrides = {} if tolerance is None else {cid: tolerance}
+    [result] = verify.CRITERIA[cid](verify.DEFAULT_SEED, overrides)
+    assert (result.value, result.tolerance) == (1.0, tolerance or 0.0)
+    assert result.passed is (tolerance is not None)
+
+
+def test_c12_passes_iff_the_mismatches_are_within_the_tolerance(monkeypatch):
+    def fake_cli(args, cwd):
+        # every file of a run holds its arguments: the worker variants differ
+        out = args[args.index("--out") + 1]
+        text = repr([a for a in args if a != out])
+        for suffix in ("", ".json", ".csv"):
+            Path(out + suffix).write_text(text)
+
+    monkeypatch.setattr(verify, "_cli", fake_cli)
+    [strict] = verify.c12_reproducibility(verify.DEFAULT_SEED, {})
+    [loose] = verify.c12_reproducibility(verify.DEFAULT_SEED, {"c12": 2.0})
+    assert (strict.value, strict.passed) == (2.0, False)
+    assert (loose.value, loose.tolerance, loose.passed) == (2.0, 2.0, True)
 
 
 def test_cli_child_runs_the_callers_package(tmp_path, monkeypatch):

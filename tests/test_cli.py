@@ -347,6 +347,34 @@ def test_simulate_trace_dump(tmp_path):
     assert 0 < float(first[3]) < 1
 
 
+def test_a_failed_trace_dump_leaves_no_partial_file(tmp_path, monkeypatch):
+    from chainrec import samplers
+
+    simulate_direct = samplers.simulate_direct
+    calls = []
+
+    def fails_at_replicate_3(gen, d, n):
+        calls.append(n)
+        if len(calls) == 3:
+            raise RuntimeError("injected failure")
+        return simulate_direct(gen, d, n)
+
+    monkeypatch.setattr(samplers, "simulate_direct", fails_at_replicate_3)
+    trace = tmp_path / "trace.csv"
+    args = ["simulate", "--method", "direct", "--d", "2", "--n", "50", "--replicates", "5",
+            "--seed", "9", "--out", str(tmp_path / "run"), "--trace-out", str(trace)]
+    with pytest.raises(RuntimeError, match="injected failure"):
+        main(args)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.json"]
+    # a failed rewrite keeps the earlier file as it was
+    trace.write_text("earlier\n")
+    calls.clear()
+    with pytest.raises(RuntimeError, match="injected failure"):
+        main(args)
+    assert trace.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.json", "trace.csv"]
+
+
 # ---------------------------------------------------------------------------
 # limits
 
@@ -505,6 +533,17 @@ def test_verify_rejects_an_unknown_suite(tmp_path, monkeypatch, capsys, source):
         argv = ["verify", "--config", str(cfg)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: unknown suite 'nope'")
+    assert not out_dir.exists()
+
+
+def test_verify_rejects_an_unknown_tolerance_key(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "out"
+    monkeypatch.setenv("CHAINREC_OUT_DIR", str(out_dir))
+    argv = ["verify", "--suite", "exact", "--tolerance", "c6=0.5", "--tolerance", "bogus=1"]
+    assert main(argv) == 1
+    keys = ["c01", "c02", "c03", "c04", "c05", "c06", "c07", "c08", "c09",
+            "c10-mean", "c10-var", "c11", "c12"]
+    assert capsys.readouterr().err == f"error: unknown tolerance key 'c6'; choose from {keys}\n"
     assert not out_dir.exists()
 
 

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -95,25 +96,30 @@ def _traces(traces) -> bytes:
     return repr([(t.record_times, t.heights, t.horizon) for t in traces]).encode()
 
 
+def _chunks_of(size, constant="_CHUNK"):
+    """Decorate a case to run with the batch drivers' ``constant`` set to ``size``."""
+    return mock.patch.object(samplers, constant, size)
+
+
 def _scans(d, max_marks, max_records, streams) -> bytes:
     scans = (samplers._direct_scan(g, d, max_marks, max_records) for g in streams)
     return repr([(tuple(times), tuple(heights), drawn) for times, heights, drawn in scans]).encode()
 
 
 LIBRARY_CASES = {
-    "chain-counts-direct": lambda: samplers.sample_chain_counts(
-        "direct", 3, 30, 5000, seed=SEED, label="golden:direct", chunk_size=1500).tobytes(),
-    "chain-counts-sojourn": lambda: samplers.sample_chain_counts(
-        "sojourn", 2, 10**5, 5000, seed=SEED, label="golden:sojourn", chunk_size=1500).tobytes(),
-    "chain-counts-insertion": lambda: samplers.sample_chain_counts(
-        "insertion", 2, 60, 5000, seed=SEED, label="golden:insertion", chunk_size=1500).tobytes(),
+    "chain-counts-direct": _chunks_of(1500)(lambda: samplers.sample_chain_counts(
+        "direct", 3, 30, 5000, seed=SEED, label="golden:direct").tobytes()),
+    "chain-counts-sojourn": _chunks_of(1500)(lambda: samplers.sample_chain_counts(
+        "sojourn", 2, 10**5, 5000, seed=SEED, label="golden:sojourn").tobytes()),
+    "chain-counts-insertion": _chunks_of(1500)(lambda: samplers.sample_chain_counts(
+        "insertion", 2, 60, 5000, seed=SEED, label="golden:insertion").tobytes()),
     # one chunk of 2,500 replicates x 1,000 marks x d=2: 5 million doubles
     "chain-flag-totals": lambda: samplers.sample_chain_flag_totals(
         2, 1000, 2500, seed=SEED, label="golden:flags").tobytes(),
-    "chain-flag-totals-chunks": lambda: samplers.sample_chain_flag_totals(
-        3, 20, 5000, seed=SEED, label="golden:flags", chunk_size=1500, workers=2).tobytes(),
-    "window-counts": lambda: samplers.sample_window_counts(
-        2, (0.25, 1.0, 4.0), 300, seed=SEED, label="golden:window", chunk_size=128).tobytes(),
+    "chain-flag-totals-chunks": _chunks_of(1500)(lambda: samplers.sample_chain_flag_totals(
+        3, 20, 5000, seed=SEED, label="golden:flags", workers=2).tobytes()),
+    "window-counts": _chunks_of(128, "_WINDOW_CHUNK")(lambda: samplers.sample_window_counts(
+        2, (0.25, 1.0, 4.0), 300, seed=SEED, label="golden:window").tobytes()),
     "simulate-direct-traces": lambda: _traces(
         samplers.simulate_direct(g, 2, 20000) for g in _streams("golden:direct-trace", 5)),
     # the direct scan stopped at a record count, then by its mark cap

@@ -49,9 +49,10 @@ def test_identical_streams_give_identical_traces():
     )
 
 
-def test_batch_counts_independent_of_worker_count():
+def test_batch_counts_independent_of_worker_count(monkeypatch):
     # 3,000 replicates in chunks of 700: four full chunks and a short one
-    kwargs = dict(seed=SEED, label="test:workers", chunk_size=700)
+    monkeypatch.setattr(samplers, "_CHUNK", 700)
+    kwargs = dict(seed=SEED, label="test:workers")
     for method in ("direct", "sojourn", "insertion"):
         one = sample_chain_counts(method, 2, 50, 3000, workers=1, **kwargs)
         four = sample_chain_counts(method, 2, 50, 3000, workers=4, **kwargs)
@@ -81,6 +82,12 @@ BATCH_DRIVERS = {
 def test_batch_drivers_reject_nonpositive_replicates(driver, replicates):
     with pytest.raises(ValueError, match="replicates must be >= 1"):
         BATCH_DRIVERS[driver](replicates)
+
+
+def test_chunk_rule_caps_a_chunk_at_the_double_budget():
+    assert samplers._chunk() == samplers._CHUNK
+    assert samplers._chunk(10_000) == samplers._CHUNK_BUDGET // 10_000 < samplers._CHUNK
+    assert samplers._chunk(samplers._CHUNK_BUDGET + 1) == 1
 
 
 @pytest.mark.parametrize("method", ["direct", "sojourn", "insertion"])
@@ -148,11 +155,12 @@ def test_direct_single_mark():
     assert len(tr.heights) == 1
 
 
-def test_direct_matches_records_module_per_seed():
+def test_direct_matches_records_module_per_seed(monkeypatch):
     tr = simulate_direct(make_stream(SEED, 31), 2, 2000)
     marks = make_stream(SEED, 31).random((2000, 2))  # the uniforms the scan draws
     assert tuple(chain_record_indices(marks)) == tr.record_times
-    assert simulate_direct(make_stream(SEED, 31), 2, 2000, block_size=100) == tr
+    monkeypatch.setattr(samplers, "_SCAN_BLOCK", 100)
+    assert simulate_direct(make_stream(SEED, 31), 2, 2000) == tr
     for t, h in zip(tr.record_times, tr.heights):
         assert abs(math.prod(marks[t - 1]) - h) < 1e-15
 
@@ -252,12 +260,13 @@ def _reduction_mask_scan(rng, d, max_marks, max_records, block_size=1 << 16):
 
 @pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
-def test_direct_scan_equals_the_reduction_mask(d, grid):
+def test_direct_scan_equals_the_reduction_mask(d, grid, monkeypatch):
     for key in range(37, 47):
         for max_marks, max_records, block_size in ((5000, 5000, 1 << 16), (3000, 3, 1 << 16),
                                                    (2500, 2500, 100)):
+            monkeypatch.setattr(samplers, "_SCAN_BLOCK", block_size)
+            fast = samplers._direct_scan(_stream(grid, key), d, max_marks, max_records)
             args = (d, max_marks, max_records, block_size)
-            fast = samplers._direct_scan(_stream(grid, key), *args)
             assert fast == _reduction_mask_scan(_stream(grid, key), *args)
 
 

@@ -7,9 +7,13 @@ with replicate chunks as substreams.  Output files carry a header comment
 (or a ``meta`` object for JSON) with the version, the full configuration
 and the seed, which is sufficient to reproduce them byte for byte.
 
-Option precedence is CLI flag > config file > built-in default; the config
-file is flat ``key=value`` text.  The ``CHAINREC_OUT_DIR`` environment
-variable supplies the directory for relative or defaulted output paths.
+Option precedence is CLI flag > config file > built-in default.  Each
+line ``key=value`` of the flat config file is read exactly as the flag
+``--key=value``, so an unknown key or a bad value is rejected as the flag
+would be.  The ``CHAINREC_OUT_DIR`` environment variable supplies the
+directory for relative or defaulted output paths.  Exit codes: 0 success;
+1 a runtime error (such as an unreadable file, a malformed config line or
+an unknown suite) or a failed criterion; 2 a usage error.
 
 Only the standard library and :mod:`chainrec.exact` load with this module;
 each command loads the numeric layers it runs (numpy, ``records``,
@@ -37,8 +41,9 @@ ENV_OUT_DIR = "CHAINREC_OUT_DIR"
 # option plumbing
 
 
-def _load_config(path: str) -> dict[str, str]:
-    config: dict[str, str] = {}
+def _config_args(path: str) -> list[str]:
+    """The ``key=value`` lines of a config file as the flags ``--key=value``."""
+    flags = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -46,30 +51,17 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        config[key.strip()] = value.strip()
-    return config
+        flags.append(f"--{key.strip()}={value.strip()}")
+    return flags
 
 
-def _opt(args, config, key, convert, default=None, required=False):
-    attr = "in_" if key == "in" else key.replace("-", "_")
-    value = getattr(args, attr, None)
-    if value is None and key in config:
-        value = convert(config[key])
-    if value is None:
-        value = default
-    if required and value is None:
-        raise ValueError(f"--{key} is required (flag or config file)")
-    return value
-
-
-def _parse_tolerances(items) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ValueError(f"--tolerance expects KEY=VAL, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = float(value)
-    return overrides
+def _tolerance(item: str) -> tuple[str, float]:
+    key, _, value = item.partition("=")
+    try:
+        return key.strip(), float(value)
+    except ValueError:
+        message = f"expected KEY=VAL with a number VAL, got {item!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _resolve_out(out: str | None) -> Path | None:
@@ -175,23 +167,21 @@ def _read_marks_csv(path: str):
     return np.array(marks, dtype=float)
 
 
-def _cmd_detect(args, config) -> int:
+def _cmd_detect(args) -> int:
     import numpy as np
 
     from chainrec.records import RecordDetector
 
-    input_path = _opt(args, config, "in", str, required=True)
-    want_dim = _opt(args, config, "d", int)
-    marks = _read_marks_csv(input_path)
+    marks = _read_marks_csv(args.in_)
     d = marks.shape[1]
-    if want_dim is not None and d != want_dim:
-        raise ValueError(f"input has dimension {d}, expected --d {want_dim}")
+    if args.d is not None and d != args.d:
+        raise ValueError(f"input has dimension {d}, expected --d {args.d}")
     flags = RecordDetector(d).extend(marks)
     # each row after its index is ",c,w,s,m1..md": one code point per cell
     cells = np.full((len(marks), 7 + d), ord(","), dtype=np.uint32)
     cells[:, [1, 3, 5, *range(7, 7 + d)]] = flags + ord("0")
     lines = [
-        _meta_comment("detect", "-", {"in": input_path, "d": d, "rows": len(marks)}),
+        _meta_comment("detect", "-", {"in": args.in_, "d": d, "rows": len(marks)}),
         "index,chain,weak,strong,marginal_mask",
     ]
     tails = cells.view(f"U{7 + d}").ravel().tolist()
@@ -204,10 +194,8 @@ def _cmd_detect(args, config) -> int:
 # exact
 
 
-def _cmd_exact(args, config) -> int:
-    d = _opt(args, config, "d", int, required=True)
-    n_max = _opt(args, config, "n", int, required=True)
-    n_cap = _opt(args, config, "n-cap", int, default=exact.DEFAULT_N_CAP)
+def _cmd_exact(args) -> int:
+    d, n_max, n_cap = args.d, args.n, args.n_cap
     chain = exact.chain_record_prob_table(d, n_max, n_cap=n_cap)
     weak = exact.weak_record_prob_table(d, n_max, n_cap=n_cap)
     header = (
@@ -295,26 +283,16 @@ def _trace_lines(method, d, n, replicates, seed):
         )
 
 
-def _cmd_simulate(args, config) -> int:
+def _cmd_simulate(args) -> int:
     from chainrec import stats
 
-    what = _opt(args, config, "what", str, default="chain-count")
-    if what not in _SIM_WHAT:
-        raise ValueError(f"unknown --what {what!r}; choose from {_SIM_WHAT}")
-    d = _opt(args, config, "d", int, required=True)
-    method = _opt(args, config, "method", str, default="sojourn")
-    replicates = _opt(args, config, "replicates", int, required=True)
-    seed = _opt(args, config, "seed", int, required=True)
-    workers = _opt(args, config, "workers", int, default=1)
-    b0 = _opt(args, config, "b0", float, default=1.0)
-    trunc_tol = _opt(args, config, "truncation-tol", float, default=1e-6)
-    n = _opt(args, config, "n", int)
-    t = _opt(args, config, "t", float)
+    what, method, d, n, t, seed = args.what, args.method, args.d, args.n, args.t, args.seed
+    replicates, b0, trunc_tol, workers = args.replicates, args.b0, args.truncation_tol, args.workers
     if what in ("chain-count", "renewal-count") and n is None:
         raise ValueError(f"--n is required for --what {what}")
     if what.startswith("poisson-") and t is None:
         raise ValueError(f"--t is required for --what {what}")
-    trace_out = _resolve_out(getattr(args, "trace_out", None))
+    trace_out = _resolve_out(args.trace_out)
     if trace_out is not None:
         if what != "chain-count":
             raise ValueError("--trace-out needs --what chain-count")
@@ -370,31 +348,33 @@ def _value_lines(header: str, values):
         yield "\n".join(map(repr, values[lo : lo + _LINES_PER_WRITE].tolist())) + "\n"
 
 
-def _cmd_limits(args, config) -> int:
+def _cmd_limits(args) -> int:
     from chainrec import samplers
     from chainrec.rng import make_stream, stream_id
 
-    kind = _opt(args, config, "kind", str, required=True)
-    d = _opt(args, config, "d", int, required=True)
-    seed = _opt(args, config, "seed", int, required=True)
-    workers = _opt(args, config, "workers", int, default=1)
-    if kind == "y":
-        replicates = _opt(args, config, "replicates", int, required=True)
-        tol = _opt(args, config, "truncation-tol", float, default=1e-6)
+    d, seed = args.d, args.seed
+    tol = args.truncation_tol
+    if tol is None:
+        tol = {"y": 1e-6, "window": 1e-9}[args.kind]
+    if args.kind == "y":
+        if args.replicates is None:
+            raise ValueError("--replicates is required for --kind y")
         values, _ = samplers.sample_limit_variables(
-            d, replicates, tolerance=tol, seed=seed,
-            label=f"limits:y:d={d}:tol={tol}", workers=workers,
+            d, args.replicates, tolerance=tol, seed=seed,
+            label=f"limits:y:d={d}:tol={tol}", workers=args.workers,
         )
-        header = _meta_comment("limits", seed, {"kind": "y", "d": d, "replicates": replicates,
+        header = _meta_comment("limits", seed, {"kind": "y", "d": d,
+                                                "replicates": args.replicates,
                                                 "truncation_tol": tol})
         _emit(_value_lines(header, values), _resolve_out(args.out))
-    elif kind == "window":
-        window_arg = _opt(args, config, "window", str, required=True)
+    else:
+        window_arg = args.window
+        if window_arg is None:
+            raise ValueError("--window is required for --kind window")
         try:
             s_lo, s_hi, t_hi = (float(x) for x in window_arg.split(","))
         except ValueError:
             raise ValueError(f"--window expects s_lo,s_hi,t_hi, got {window_arg!r}") from None
-        tol = _opt(args, config, "truncation-tol", float, default=1e-9)
         gen = make_stream(seed, stream_id(f"limits:window:d={d}:window={window_arg}:tol={tol}"))
         window = samplers.sample_limit_process(gen, d, (s_lo, s_hi, t_hi), tol)
         lines = [
@@ -404,8 +384,6 @@ def _cmd_limits(args, config) -> int:
         ]
         lines.extend(f"{xi!r},{sigma!r}" for xi, sigma in window.points)
         _emit("\n".join(lines) + "\n", _resolve_out(args.out))
-    else:
-        raise ValueError(f"unknown --kind {kind!r}; choose y or window")
     return 0
 
 
@@ -413,15 +391,16 @@ def _cmd_limits(args, config) -> int:
 # verify
 
 
-def _cmd_verify(args, config) -> int:
+def _cmd_verify(args) -> int:
     from chainrec import verify as verify_mod
 
-    suite = _opt(args, config, "suite", str, default="all")
-    seed = _opt(args, config, "seed", int, default=verify_mod.DEFAULT_SEED)
-    workers = _opt(args, config, "workers", int, default=1)
-    overrides = _parse_tolerances(args.tolerance)
+    suite = args.suite
+    # the seed default lives with the criteria, which load numpy
+    seed = verify_mod.DEFAULT_SEED if args.seed is None else args.seed
+    # the last value of a key wins, so a flag beats its config line
+    overrides = dict(args.tolerance or ())
     started = time.monotonic()
-    results = verify_mod.run_suite(suite, seed, overrides, workers, report=print)
+    results = verify_mod.run_suite(suite, seed, overrides, args.workers, report=print)
     elapsed = time.monotonic() - started
 
     # the worker count never changes results, so it is not part of the
@@ -466,62 +445,79 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file (flags take precedence)")
         p.add_argument("--out", help=f"output path (relative paths resolve under ${ENV_OUT_DIR})")
 
+    def workers(p):
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker threads, never changes results (default %(default)s)")
+
     p = sub.add_parser("detect", help="classify a CSV of marks by record type")
     common(p)
-    p.add_argument("--in", dest="in_", help="input CSV with header x1,...,xd")
+    p.add_argument("--in", dest="in_", required=True, help="input CSV with header x1,...,xd")
     p.add_argument("--d", type=int, help="expected dimension (validated against the header)")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("exact", help="exact probability and expected-count tables")
     common(p)
-    p.add_argument("--d", type=int, help="dimension")
-    p.add_argument("--n", type=int, help="largest index in the table")
-    p.add_argument("--n-cap", type=int, help="cap on exact computations (default 500)")
+    p.add_argument("--d", type=int, required=True, help="dimension")
+    p.add_argument("--n", type=int, required=True, help="largest index in the table")
+    p.add_argument("--n-cap", type=int, default=exact.DEFAULT_N_CAP,
+                   help="cap on exact computations (default %(default)s)")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimates with standard errors")
     common(p)
-    p.add_argument("--what", choices=_SIM_WHAT, help="estimand (default chain-count)")
-    p.add_argument("--method", choices=("direct", "sojourn", "insertion"),
-                   help="chain-count simulator (default sojourn)")
-    p.add_argument("--d", type=int, help="dimension")
+    p.add_argument("--what", choices=_SIM_WHAT, default="chain-count",
+                   help="estimand (default %(default)s)")
+    p.add_argument("--method", choices=("direct", "sojourn", "insertion"), default="sojourn",
+                   help="chain-count simulator (default %(default)s)")
+    p.add_argument("--d", type=int, required=True, help="dimension")
     p.add_argument("--n", type=int, help="index horizon")
     p.add_argument("--t", type=float, help="time horizon for poisson-* estimands")
-    p.add_argument("--b0", type=float, help="initial state of the paced process")
-    p.add_argument("--replicates", type=int, help="number of replicates")
-    p.add_argument("--seed", type=int, help="root seed")
-    p.add_argument("--workers", type=int, help="worker threads (never changes results)")
-    p.add_argument("--truncation-tol", type=float, help="series tolerance for limit-variable")
+    p.add_argument("--b0", type=float, default=1.0,
+                   help="initial state of the paced process (default %(default)s)")
+    p.add_argument("--replicates", type=int, required=True, help="number of replicates")
+    p.add_argument("--seed", type=int, required=True, help="root seed")
+    workers(p)
+    p.add_argument("--truncation-tol", type=float, default=1e-6,
+                   help="series tolerance for limit-variable (default %(default)s)")
     p.add_argument("--trace-out", help="also dump per-replicate traces (CSV replicate,k,T_k,H_k)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("limits", help="samples of the limit variable or limit process")
     common(p)
-    p.add_argument("--kind", choices=("y", "window"), help="y: one float per line; window: CSV xi,sigma")
-    p.add_argument("--d", type=int, help="dimension")
+    p.add_argument("--kind", choices=("y", "window"), required=True,
+                   help="y: one float per line; window: CSV xi,sigma")
+    p.add_argument("--d", type=int, required=True, help="dimension")
     p.add_argument("--replicates", type=int, help="number of draws (kind y)")
-    p.add_argument("--seed", type=int, help="root seed")
+    p.add_argument("--seed", type=int, required=True, help="root seed")
     p.add_argument("--window", help="s_lo,s_hi,t_hi rectangle (kind window)")
-    p.add_argument("--truncation-tol", type=float, help="tail truncation tolerance")
-    p.add_argument("--workers", type=int, help="worker threads (never changes results)")
+    p.add_argument("--truncation-tol", type=float,
+                   help="tail truncation tolerance (default 1e-6 for y, 1e-9 for window)")
+    workers(p)
     p.set_defaults(func=_cmd_limits)
 
     p = sub.add_parser("verify", help="run the acceptance suite and write a report")
     common(p)
-    p.add_argument("--suite", help="suite name (default all)")
+    p.add_argument("--suite", default="all", help="suite name (default %(default)s)")
     p.add_argument("--seed", type=int, help="root seed (default fixed)")
-    p.add_argument("--workers", type=int, help="worker threads (never changes results)")
-    p.add_argument("--tolerance", action="append", metavar="KEY=VAL",
+    workers(p)
+    p.add_argument("--tolerance", action="append", type=_tolerance, metavar="KEY=VAL",
                    help="override a criterion tolerance, e.g. c10-mean=0.1")
     p.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the config file's lines go in right after the command, so a flag,
+    # parsed later, wins over its line
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # the full parser reports a missing value
+    config = pre.parse_known_args(argv[1:])[0].config
     try:
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
-        return args.func(args, config)
+        if config:
+            argv = [*argv[:1], *_config_args(config), *argv[1:]]
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

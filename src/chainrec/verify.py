@@ -65,6 +65,11 @@ def _bounded(criterion, name, oracle, value, overrides, default=0.0):
     return CriterionResult(criterion, name, oracle, value, 0.0, tolerance, value <= tolerance)
 
 
+def _significant(criterion, name, oracle, pvalue, alpha):
+    """A result with target and tolerance ``alpha`` that passes iff ``pvalue >= alpha``."""
+    return CriterionResult(criterion, name, oracle, pvalue, alpha, alpha, pvalue >= alpha)
+
+
 def _z_score(sample_mean, target, sample_sd, n):
     se = sample_sd / math.sqrt(n)
     diff = abs(sample_mean - target)
@@ -151,16 +156,14 @@ def c04_poisson_mixture(seed, overrides, workers=1):
         lhs = exact.moment_series(d, 1, t)
         rhs = exact.poisson_weighted_chain_prob(d, t)
         worst = max(worst, abs(lhs - rhs))
-    tolerance = _tol(overrides, "c04", 1e-10)
     return [
-        CriterionResult(
+        _bounded(
             "c04",
             "series moment function agrees with the Poisson mixture of exact probabilities",
             "two independent exact routes, max abs difference over d<=3, t in {0.5,1,2,5}",
             worst,
-            0.0,
-            tolerance,
-            worst < tolerance,
+            overrides,
+            1e-10,
         )
     ]
 
@@ -191,16 +194,14 @@ def c05_renewal_equation(seed, overrides, workers=1):
         deriv = (m_plus - m_minus) / (2 * h)
         m_t = exact.moment_series(d, beta, t)
         worst = max(worst, abs(deriv + m_t - _renewal_integral(d, beta, t)))
-    tolerance = _tol(overrides, "c05", 1e-6)
     return [
-        CriterionResult(
+        _bounded(
             "c05",
             "moment function satisfies its renewal-type differential equation",
             "central finite difference plus Gauss-Laguerre residual, beta<=2, d<=2, t in {0.5,1,2}",
             worst,
-            0.0,
-            tolerance,
-            worst < tolerance,
+            overrides,
+            1e-6,
         )
     ]
 
@@ -228,15 +229,13 @@ def c06_three_simulators(seed, overrides, workers=1):
             res = stats.two_sample_test(counts[m1], counts[m2], significance=alpha)
             min_p = min(min_p, res.pvalue)
     return [
-        CriterionResult(
+        _significant(
             "c06",
             "three-simulator distributional agreement on the record count",
             "pairwise chi-square over pooled bins, 18 tests, "
             f"{reps} replicates each; pass iff min p-value >= {alpha:.2e}",
             min_p,
             alpha,
-            alpha,
-            min_p >= alpha,
         )
     ]
 
@@ -380,14 +379,12 @@ def c11_hyperbolic_invariance(seed, overrides, workers=1):
     )
     res = stats.two_sample_test(counts_a, counts_b, significance=alpha)
     return [
-        CriterionResult(
+        _significant(
             "c11",
             "limit-process window counts are invariant under hyperbolic shifts",
             f"chi-square on counts in a window vs its (2s, t/2) image, {reps} draws each",
             res.pvalue,
             alpha,
-            alpha,
-            res.pvalue >= alpha,
         )
     ]
 

@@ -92,3 +92,10 @@ def test_c05_laguerre_integral_matches_adaptive_quadrature(d, beta, t):
 
     reference, _ = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
     assert abs(verify._renewal_integral(d, beta, t) - reference) < 1e-10
+
+
+def test_c04_passes_when_its_tolerance_equals_its_value():
+    [result] = verify.c04_poisson_mixture(verify.DEFAULT_SEED, {})
+    assert result.value > 0.0
+    [at_value] = verify.c04_poisson_mixture(verify.DEFAULT_SEED, {"c04": result.value})
+    assert (at_value.tolerance, at_value.passed) == (result.value, True)

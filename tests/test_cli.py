@@ -426,14 +426,147 @@ def test_limits_bad_window(capsys):
 # config file, environment, argument errors
 
 
-def test_config_file_precedence(tmp_path, capsys):
+# each command with (key, value, losing value) triples and the files it
+# writes: a config line acts exactly as its flag, and a flag beats its line
+_CONFIG_CASES = [
+    ("detect", [("in", "{marks}", "{other}"), ("d", "2", "3"), ("out", "flags.csv", "x.csv")],
+     ["flags.csv"]),
+    ("exact", [("d", "2", "3"), ("n", "4", "6"), ("n-cap", "50", "5"), ("out", "table.csv", "x")],
+     ["table.csv"]),
+    ("simulate", [("what", "chain-count", "renewal-count"), ("method", "direct", "insertion"),
+                  ("d", "2", "1"), ("n", "20", "30"), ("t", "1.0", "2.0"), ("b0", "1.5", "2.0"),
+                  ("replicates", "5", "7"), ("seed", "3", "4"), ("workers", "2", "1"),
+                  ("truncation-tol", "1e-05", "1e-04"), ("out", "sim", "x"),
+                  ("trace-out", "trace.csv", "x.csv")],
+     ["sim.csv", "sim.json", "trace.csv"]),
+    ("limits", [("kind", "y", "window"), ("d", "2", "1"), ("replicates", "5", "9"),
+                ("seed", "3", "4"), ("window", "0.25,1.0,4.0", "0.5,1.0,2.0"),
+                ("truncation-tol", "1e-05", "1e-04"), ("workers", "2", "1"),
+                ("out", "y.txt", "x.txt")],
+     ["y.txt"]),
+    ("verify", [("suite", "exact", "limit"), ("seed", "5", "6"), ("workers", "1", "2"),
+                ("tolerance", "c04=1e-30", "c04=1.0"), ("out", "rep", "x")],
+     ["rep.csv", "rep.json"]),
+]
+
+
+def _run_in(out_dir, argv, monkeypatch, capsys):
+    """Exit code, stdout and the files written under ``out_dir`` by one run."""
+    monkeypatch.setenv("CHAINREC_OUT_DIR", str(out_dir))
+    code = main(argv)
+    printed = capsys.readouterr().out
+    return code, printed, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_config_file_precedence(tmp_path, monkeypatch, capsys):
+    paths = {"marks": tmp_path / "marks.csv", "other": tmp_path / "other.csv"}
+    write_marks_csv(paths["marks"], FOUR_POINT_MARKS)
+    write_marks_csv(paths["other"], [(0.5, 0.5), (0.1, 0.9)])
+    for command, options, written in _CONFIG_CASES:
+        flags, lines, losing = [], [], []
+        for key, value, loser in options:
+            value, loser = value.format(**paths), loser.format(**paths)
+            flags += [f"--{key}", value]
+            lines.append(f"{key}={value}\n")
+            losing.append(f"{key}={loser}\n")
+        cfg, losing_cfg = tmp_path / f"{command}.cfg", tmp_path / f"{command}-losing.cfg"
+        cfg.write_text("".join(lines))
+        losing_cfg.write_text("".join(losing))
+        variants = {
+            "flags": flags,
+            "config": ["--config", str(cfg)],
+            # the flags win whether they come before or after --config
+            "flags-first": [*flags, "--config", str(losing_cfg)],
+            "config-first": ["--config", str(losing_cfg), *flags],
+        }
+        runs = [_run_in(tmp_path / command / name, [command, *argv], monkeypatch, capsys)
+                for name, argv in variants.items()]
+        assert sorted(runs[0][2]) == written, command
+        for name, run in zip(variants, runs):
+            assert run == runs[0], (command, name)
+    # the verify case forces c04 to fail through its tolerance line
+    assert runs[0][0] == 1
+
+
+def test_a_misspelt_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHAINREC_OUT_DIR", str(tmp_path / "out"))
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("d=2\nn=3\n")
-    assert main(["exact", "--config", str(cfg)]) == 0
-    assert len(chain_column(capsys.readouterr().out)) == 3
-    # the flag wins over the config value
-    assert main(["exact", "--config", str(cfg), "--n", "5"]) == 0
-    assert len(chain_column(capsys.readouterr().out)) == 5
+    cfg.write_text("d=2\nn=3\nnn=7\nout=table.csv\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nn=7" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, written",
+    [
+        (["exact"], "d=2\nn=3\nout=from_config.csv\n", ["from_config.csv"]),
+        (["verify"], "suite=exact\nout=from_config\n", ["from_config.csv", "from_config.json"]),
+        (["simulate", "--out", "run"], "d=2\nn=10\nreplicates=3\nseed=1\ntrace-out=t.csv\n",
+         ["run.csv", "run.json", "t.csv"]),
+    ],
+    ids=["exact-out", "verify-out", "simulate-trace-out"],
+)
+def test_config_output_paths_are_read(tmp_path, monkeypatch, capsys, command, config, written):
+    monkeypatch.chdir(tmp_path)  # verify's default report would land here
+    monkeypatch.setenv("CHAINREC_OUT_DIR", str(tmp_path / "out"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert main([*command, "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.cfg"]
+    assert "1/4" not in capsys.readouterr().out  # exact wrote no table to stdout
+
+
+def test_a_config_tolerance_overrides_its_criterion(tmp_path, capsys):
+    cfg = tmp_path / "strict.cfg"
+    cfg.write_text(f"suite=exact\ntolerance=c04=1e-30\nout={tmp_path / 'strict'}\n")
+    assert main(["verify", "--config", str(cfg)]) == 1
+    doc = json.loads((tmp_path / "strict.json").read_text())
+    assert doc["meta"]["config"]["tolerance_overrides"] == {"c04": 1e-30}
+    assert [c["criterion"] for c in doc["criteria"] if not c["pass"]] == ["c04"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv, option, message",
+    [
+        (["exact", "--n", "3"], ("d", "two"), "argument --d: invalid int value: 'two'"),
+        (["simulate", "--d", "2", "--n", "5", "--replicates", "3", "--seed", "1"],
+         ("method", "fast"), "argument --method: invalid choice: 'fast'"),
+        (["verify", "--suite", "exact"], ("tolerance", "c04=abc"),
+         "argument --tolerance: expected KEY=VAL with a number VAL, got 'c04=abc'"),
+        (["verify", "--suite", "exact"], ("tolerance", "c04"),
+         "argument --tolerance: expected KEY=VAL with a number VAL, got 'c04'"),
+    ],
+    ids=["d", "method", "tolerance", "tolerance-without-value"],
+)
+def test_a_bad_value_is_a_usage_error_from_a_flag_or_a_config_line(
+    tmp_path, monkeypatch, capsys, source, argv, option, message
+):
+    out_dir = tmp_path / "out"
+    monkeypatch.setenv("CHAINREC_OUT_DIR", str(out_dir))
+    key, value = option
+    if source == "flag":
+        argv = [*argv, f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv = [*argv, "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "report"])
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_a_missing_required_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--d", "2"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --n" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_an_error(tmp_path, capsys):

@@ -7,6 +7,13 @@ with replicate chunks as substreams.  Output files carry a header comment
 (or a ``meta`` object for JSON) with the version, the full configuration
 and the seed, which is sufficient to reproduce them byte for byte.
 
+Each ``simulate`` estimand reads ``--d`` and its own options only
+(``chain-count``: ``--method``, ``--n``; ``poisson-*``: ``--t``, ``--b0``;
+``renewal-count``: ``--n``; ``limit-variable``: ``--truncation-tol``), and
+each ``limits`` kind one option (``y``: ``--replicates``; ``window``:
+``--window``).  An option a mode does not read is neither recorded nor part
+of a stream label, so it cannot change the output.
+
 Option precedence is CLI flag > config file > built-in default.  Each
 line ``key=value`` of the flat config file is read exactly as the flag
 ``--key=value``, so an unknown key or a bad value is rejected as the flag
@@ -235,35 +242,37 @@ def _cmd_exact(args) -> int:
 # simulate
 
 
-_SIM_WHAT = ("chain-count", "poisson-count", "poisson-integral", "poisson-state",
-             "renewal-count", "limit-variable")
+# the options each estimand reads: only these are required, recorded and hashed
+_ESTIMANDS = {
+    "chain-count": ("method", "n"),
+    **dict.fromkeys(("poisson-count", "poisson-integral", "poisson-state"), ("t", "b0")),
+    "renewal-count": ("n",),
+    "limit-variable": ("truncation_tol",),
+}
+
+# the stream label's fixed value for a field its estimand does not read
+_UNREAD_LABEL_FIELDS = {"method": "sojourn", "n": None, "t": None, "b0": 1.0,
+                        "truncation_tol": 1e-6}
 
 
-def _simulate_values(what, method, d, n, t, b0, trunc_tol, replicates, seed, workers):
+def _simulate_values(params, replicates, seed, workers):
     from chainrec import samplers
 
-    label = f"simulate:{what}:{method}:d={d}:n={n}:t={t}:b0={b0}:tol={trunc_tol}"
+    what, d = params["what"], params["d"]
+    label = "simulate:{what}:{method}:d={d}:n={n}:t={t}:b0={b0}:tol={truncation_tol}".format_map(
+        {**_UNREAD_LABEL_FIELDS, **params})
+    run = {"seed": seed, "label": label, "workers": workers}
     if what == "chain-count":
-        return samplers.sample_chain_counts(
-            method, d, n, replicates, seed=seed, label=label, workers=workers
-        ).astype(float)
-    if what.startswith("poisson-"):
-        counts, integrals, states = samplers.sample_poisson_paced_terminals(
-            d, t, replicates, b0=b0, seed=seed, label=label, workers=workers
-        )
-        return {"poisson-count": counts.astype(float),
-                "poisson-integral": integrals,
-                "poisson-state": states}[what]
+        return samplers.sample_chain_counts(params["method"], d, params["n"], replicates, **run)
     if what == "renewal-count":
-        return samplers.sample_renewal_counts(
-            d, n, replicates, seed=seed, label=label, workers=workers
-        ).astype(float)
+        return samplers.sample_renewal_counts(d, params["n"], replicates, **run)
     if what == "limit-variable":
-        values, _ = samplers.sample_limit_variables(
-            d, replicates, tolerance=trunc_tol, seed=seed, label=label, workers=workers
-        )
-        return values
-    raise ValueError(f"unknown estimand {what!r}")
+        return samplers.sample_limit_variables(d, replicates, tolerance=params["truncation_tol"],
+                                               **run)[0]
+    counts, integrals, states = samplers.sample_poisson_paced_terminals(
+        d, params["t"], replicates, b0=params["b0"], **run
+    )
+    return {"poisson-count": counts, "poisson-integral": integrals, "poisson-state": states}[what]
 
 
 def _trace_lines(method, d, n, replicates, seed):
@@ -286,26 +295,21 @@ def _trace_lines(method, d, n, replicates, seed):
 def _cmd_simulate(args) -> int:
     from chainrec import stats
 
-    what, method, d, n, t, seed = args.what, args.method, args.d, args.n, args.t, args.seed
-    replicates, b0, trunc_tol, workers = args.replicates, args.b0, args.truncation_tol, args.workers
-    if what in ("chain-count", "renewal-count") and n is None:
-        raise ValueError(f"--n is required for --what {what}")
-    if what.startswith("poisson-") and t is None:
-        raise ValueError(f"--t is required for --what {what}")
+    what, seed = args.what, args.seed
+    # the worker count never changes results, so it is not part of the
+    # reproduction recipe recorded in the output
+    params = {"what": what, "d": args.d, **{k: getattr(args, k) for k in _ESTIMANDS[what]}}
+    for key, value in params.items():
+        if value is None:
+            raise ValueError(f"--{key} is required for --what {what}")
     trace_out = _resolve_out(args.trace_out)
     if trace_out is not None:
         if what != "chain-count":
             raise ValueError("--trace-out needs --what chain-count")
-        if method not in ("direct", "sojourn"):
+        if args.method not in ("direct", "sojourn"):
             raise ValueError("--trace-out needs --method direct or sojourn")
 
-    values = _simulate_values(what, method, d, n, t, b0, trunc_tol, replicates, seed, workers)
-    # the worker count never changes results, so it is not part of the
-    # reproduction recipe recorded in the output
-    params = {"what": what, "d": d, "method": method if what == "chain-count" else None,
-              "n": n, "t": t, "b0": b0 if what.startswith("poisson-") else None,
-              "truncation_tol": trunc_tol if what == "limit-variable" else None}
-    params = {k: v for k, v in params.items() if v is not None}
+    values = _simulate_values(params, args.replicates, seed, args.workers)
     summary = stats.summarize(values, what, seed, params)
 
     doc = {"meta": _meta_dict("simulate", seed, params), **summary.as_dict()}
@@ -326,7 +330,7 @@ def _cmd_simulate(args) -> int:
         _emit(json_text, out.with_name(out.name + ".json"))
         _emit(csv_text, out.with_name(out.name + ".csv"))
     if trace_out is not None:
-        _emit(_trace_lines(method, d, n, replicates, seed), trace_out)
+        _emit(_trace_lines(args.method, args.d, args.n, args.replicates, seed), trace_out)
     return 0
 
 
@@ -348,42 +352,37 @@ def _value_lines(header: str, values):
         yield "\n".join(map(repr, values[lo : lo + _LINES_PER_WRITE].tolist())) + "\n"
 
 
+# each kind's required option and its default truncation tolerance
+_LIMIT_KINDS = {"y": ("replicates", 1e-6), "window": ("window", 1e-9)}
+
+
 def _cmd_limits(args) -> int:
     from chainrec import samplers
     from chainrec.rng import make_stream, stream_id
 
-    d, seed = args.d, args.seed
-    tol = args.truncation_tol
-    if tol is None:
-        tol = {"y": 1e-6, "window": 1e-9}[args.kind]
-    if args.kind == "y":
-        if args.replicates is None:
-            raise ValueError("--replicates is required for --kind y")
+    kind, d, seed = args.kind, args.d, args.seed
+    option, default_tol = _LIMIT_KINDS[kind]
+    tol = default_tol if args.truncation_tol is None else args.truncation_tol
+    value = getattr(args, option)
+    if value is None:
+        raise ValueError(f"--{option} is required for --kind {kind}")
+    header = _meta_comment("limits", seed, {"kind": kind, "d": d, option: value,
+                                            "truncation_tol": tol})
+    if kind == "y":
         values, _ = samplers.sample_limit_variables(
-            d, args.replicates, tolerance=tol, seed=seed,
+            d, value, tolerance=tol, seed=seed,
             label=f"limits:y:d={d}:tol={tol}", workers=args.workers,
         )
-        header = _meta_comment("limits", seed, {"kind": "y", "d": d,
-                                                "replicates": args.replicates,
-                                                "truncation_tol": tol})
         _emit(_value_lines(header, values), _resolve_out(args.out))
-    else:
-        window_arg = args.window
-        if window_arg is None:
-            raise ValueError("--window is required for --kind window")
-        try:
-            s_lo, s_hi, t_hi = (float(x) for x in window_arg.split(","))
-        except ValueError:
-            raise ValueError(f"--window expects s_lo,s_hi,t_hi, got {window_arg!r}") from None
-        gen = make_stream(seed, stream_id(f"limits:window:d={d}:window={window_arg}:tol={tol}"))
-        window = samplers.sample_limit_process(gen, d, (s_lo, s_hi, t_hi), tol)
-        lines = [
-            _meta_comment("limits", seed, {"kind": "window", "d": d, "window": window_arg,
-                                           "truncation_tol": tol}),
-            "xi,sigma",
-        ]
-        lines.extend(f"{xi!r},{sigma!r}" for xi, sigma in window.points)
-        _emit("\n".join(lines) + "\n", _resolve_out(args.out))
+        return 0
+    try:
+        s_lo, s_hi, t_hi = (float(x) for x in value.split(","))
+    except ValueError:
+        raise ValueError(f"--window expects s_lo,s_hi,t_hi, got {value!r}") from None
+    gen = make_stream(seed, stream_id(f"limits:window:d={d}:window={value}:tol={tol}"))
+    window = samplers.sample_limit_process(gen, d, (s_lo, s_hi, t_hi), tol)
+    lines = [header, "xi,sigma", *(f"{xi!r},{sigma!r}" for xi, sigma in window.points)]
+    _emit("\n".join(lines) + "\n", _resolve_out(args.out))
     return 0
 
 
@@ -465,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimates with standard errors")
     common(p)
-    p.add_argument("--what", choices=_SIM_WHAT, default="chain-count",
+    p.add_argument("--what", choices=_ESTIMANDS, default="chain-count",
                    help="estimand (default %(default)s)")
     p.add_argument("--method", choices=("direct", "sojourn", "insertion"), default="sojourn",
                    help="chain-count simulator (default %(default)s)")
@@ -479,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     workers(p)
     p.add_argument("--truncation-tol", type=float, default=1e-6,
                    help="series tolerance for limit-variable (default %(default)s)")
-    p.add_argument("--trace-out", help="also dump per-replicate traces (CSV replicate,k,T_k,H_k)")
+    p.add_argument("--trace-out", help="also dump traces drawn from streams of their own, not "
+                   "the summarized replicates (CSV replicate,k,T_k,H_k)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("limits", help="samples of the limit variable or limit process")
@@ -490,8 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, help="number of draws (kind y)")
     p.add_argument("--seed", type=int, required=True, help="root seed")
     p.add_argument("--window", help="s_lo,s_hi,t_hi rectangle (kind window)")
+    defaults = ", ".join(f"{tol:g} for {kind}" for kind, (_, tol) in _LIMIT_KINDS.items())
     p.add_argument("--truncation-tol", type=float,
-                   help="tail truncation tolerance (default 1e-6 for y, 1e-9 for window)")
+                   help=f"tail truncation tolerance (default {defaults})")
     workers(p)
     p.set_defaults(func=_cmd_limits)
 

@@ -102,15 +102,15 @@ def _check_horizon(d, n):
 def _check_tolerance(d, tolerance):
     if d < 1:
         raise ValueError("need d >= 1")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be finite and positive")
 
 
 def _check_window(d, window, truncation_tol):
     _check_tolerance(d, truncation_tol)
     s_lo, s_hi, t_hi = window
-    if not 0 < s_lo < s_hi or t_hi <= 0:
-        raise ValueError("window must satisfy 0 < s_lo < s_hi and t_hi > 0")
+    if not (0 < s_lo < s_hi < math.inf and t_hi > 0):
+        raise ValueError("window must satisfy 0 < s_lo < s_hi < inf and t_hi > 0")
 
 
 def sample_height_factor(rng: np.random.Generator, d: int) -> float:
@@ -621,7 +621,7 @@ def sample_poisson_paced_terminals(
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jump counts, path integrals and terminal states of the paced process."""
-    if d < 1 or t_horizon <= 0 or b0 <= 0:
+    if d < 1 or not (0 < t_horizon < math.inf and 0 < b0 < math.inf):
         raise ValueError("need d >= 1, t_horizon > 0 and b0 > 0")
     label = label or f"poisson-paced:d={d}:t={t_horizon}:b0={b0}"
     fn = lambda gen, k: _poisson_paced_chunk(gen, d, t_horizon, b0, k)

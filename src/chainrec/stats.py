@@ -10,7 +10,7 @@ closed form, so the module needs numpy and the standard library only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,14 +28,7 @@ class ExperimentSummary:
     params: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "value": self.value,
-            "std_error": self.std_error,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "params": dict(self.params),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -515,9 +515,14 @@ def run_suite(
     """Run one named suite; ``report`` (if given) receives progress lines."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    for key in overrides or {}:
+    for key, value in (overrides or {}).items():
         if key not in TOLERANCE_KEYS:
             raise ValueError(f"unknown tolerance key {key!r}; choose from {list(TOLERANCE_KEYS)}")
+        if math.isnan(value):
+            raise ValueError(f"tolerance {key} must be a number, got {value!r}")
+        # c06 and c11 take the family-wise level of their chi-square tests
+        if key in ("c06", "c11") and not 0 < value < 1:
+            raise ValueError(f"tolerance {key} must be a level in (0, 1), got {value!r}")
     results: list[CriterionResult] = []
     for cid in SUITES[suite]:
         for res in CRITERIA[cid](seed, overrides or {}, workers):

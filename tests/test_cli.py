@@ -301,6 +301,48 @@ def test_simulate_missing_horizon(capsys):
     assert "--t is required" in capsys.readouterr().err
 
 
+# a value other than the default for each option that some estimand does
+# not read, and the options each estimand reads
+_UNREAD_VALUES = {"method": "insertion", "n": "50", "t": "5", "b0": "2", "truncation-tol": "1e-3"}
+_READS = {
+    "chain-count": ["method", "n"],
+    "poisson-count": ["t", "b0"],
+    "poisson-integral": ["t", "b0"],
+    "poisson-state": ["t", "b0"],
+    "renewal-count": ["n"],
+    "limit-variable": ["truncation-tol"],
+}
+
+
+@pytest.mark.parametrize("what", sorted(_READS))
+def test_an_option_the_estimand_does_not_read_changes_no_byte(tmp_path, what):
+    required = {"chain-count": ["--n", "100"], "renewal-count": ["--n", "100"],
+                "limit-variable": []}.get(what, ["--t", "3"])
+    argv = ["simulate", "--what", what, "--d", "2", *required, "--replicates", "200",
+            "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    config = json.loads((tmp_path / "plain.json").read_text())["meta"]["config"]
+    assert sorted(config) == sorted(["what", "d", *(o.replace("-", "_") for o in _READS[what])])
+    unread = [option for option in _UNREAD_VALUES if option not in _READS[what]]
+    for option in unread:
+        assert main([*argv, f"--{option}", _UNREAD_VALUES[option],
+                     "--out", str(tmp_path / option)]) == 0
+        for ext in (".json", ".csv"):
+            plain = (tmp_path / f"plain{ext}").read_bytes()
+            assert (tmp_path / f"{option}{ext}").read_bytes() == plain, (option, ext)
+
+
+@pytest.mark.parametrize("kind, argv, unread", [
+    ("y", ["--replicates", "50"], ["--window", "0.25,1.0,4.0"]),
+    ("window", ["--window", "0.25,1.0,4.0"], ["--replicates", "50"]),
+])
+def test_an_option_the_limit_kind_does_not_read_changes_no_byte(tmp_path, kind, argv, unread):
+    base = ["limits", "--kind", kind, "--d", "2", *argv, "--seed", "1"]
+    assert main([*base, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*base, *unread, "--out", str(tmp_path / "unread")]) == 0
+    assert (tmp_path / "unread").read_bytes() == (tmp_path / "plain").read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -325,6 +367,16 @@ def test_simulate_missing_horizon(capsys):
           "--trace-out", "t.csv"], "--trace-out needs --what chain-count"),
         (["simulate", "--method", "insertion", "--d", "2", "--n", "10", "--replicates", "10",
           "--trace-out", "t.csv"], "--trace-out needs --method direct or sojourn"),
+        (["limits", "--kind", "window", "--d", "2", "--window", "0.1,1,2",
+          "--truncation-tol", "nan"], "tolerance must be finite and positive"),
+        (["limits", "--kind", "window", "--d", "2", "--window", "0.1,inf,2"],
+         "window must satisfy 0 < s_lo < s_hi < inf and t_hi > 0"),
+        (["limits", "--kind", "window", "--d", "2", "--window", "0.1,1,nan"],
+         "window must satisfy 0 < s_lo < s_hi < inf and t_hi > 0"),
+        (["limits", "--kind", "y", "--d", "2", "--replicates", "3", "--truncation-tol", "inf"],
+         "tolerance must be finite and positive"),
+        (["simulate", "--what", "limit-variable", "--d", "2", "--replicates", "3",
+          "--truncation-tol", "nan"], "tolerance must be finite and positive"),
     ],
 )
 def test_invalid_sample_sizes_are_rejected(argv, message, tmp_path, capsys, monkeypatch):
@@ -680,6 +732,28 @@ def test_verify_rejects_an_unknown_tolerance_key(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("suite, override, message", [
+    ("limit", "c11=0", "tolerance c11 must be a level in (0, 1), got 0.0"),
+    ("limit", "c11=1.5", "tolerance c11 must be a level in (0, 1), got 1.5"),
+    ("limit", "c11=nan", "tolerance c11 must be a number, got nan"),
+    ("oracle", "c06=1", "tolerance c06 must be a level in (0, 1), got 1.0"),
+    ("exact", "c04=nan", "tolerance c04 must be a number, got nan"),
+])
+def test_verify_rejects_a_bad_tolerance_before_running(tmp_path, monkeypatch, capsys,
+                                                        suite, override, message):
+    def no_runs(*args):
+        raise AssertionError("ran a criterion before checking the overrides")
+
+    from chainrec import verify
+
+    monkeypatch.setattr(verify, "CRITERIA", dict.fromkeys(verify.CRITERIA, no_runs))
+    out_dir = tmp_path / "out"
+    monkeypatch.setenv("CHAINREC_OUT_DIR", str(out_dir))
+    assert main(["verify", "--suite", suite, "--tolerance", override]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_verify_tolerance_override_can_force_failure(tmp_path, capsys):
     out = tmp_path / "strict"
     code = main(["verify", "--suite", "exact", "--out", str(out),
@@ -774,8 +848,9 @@ print("ok")
 
 
 # Unchecked, the renewal kernel never ends at d = 0 (every height factor is
-# 1) and the paced kernel never ends at b0 < 0 (time runs backwards), so
-# these run in a child process under _run_fresh's timeout.
+# 1) and the paced kernel never ends at b0 < 0 (time runs backwards) or at
+# an infinite or NaN horizon or state, so these run in a child process
+# under _run_fresh's timeout.
 _ENDLESS_LOOP_SCRIPT = """
 import contextlib
 import io
@@ -783,8 +858,9 @@ from chainrec.cli import main
 
 for argv, message in (
     (["--what", "renewal-count", "--d", "0", "--n", "10"], "need d >= 1 and n >= 1"),
-    (["--what", "poisson-count", "--d", "2", "--t", "1.0", "--b0", "-1"],
-     "need d >= 1, t_horizon > 0 and b0 > 0"),
+    *((["--what", "poisson-count", "--d", "2", *values], "need d >= 1, t_horizon > 0 and b0 > 0")
+      for values in (["--t", "1.0", "--b0", "-1"], ["--t", "inf"], ["--t", "nan"],
+                     ["--t", "1.0", "--b0", "nan"], ["--t", "1.0", "--b0", "inf"])),
 ):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

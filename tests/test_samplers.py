@@ -699,6 +699,14 @@ def test_limit_variable_scalar_matches_tolerance_contract():
     assert (tight >= loose - 1e-12).all()
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_limit_variables_reject_a_tolerance_that_is_not_finite_and_positive(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        sample_limit_variable(make_stream(SEED, 94), 2, tolerance)
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        sample_limit_variables(2, 5, tolerance=tolerance, seed=SEED)
+
+
 # ---------------------------------------------------------------------------
 # the limit point process
 
@@ -752,7 +760,9 @@ def test_window_kernel_rows_have_the_law_of_the_points_sampler():
 @pytest.mark.parametrize("window, tol", [
     ((0.5, 0.2, 1.0), 1e-9), ((0.5, 0.5, 1.0), 1e-9), ((0.0, 1.0, 1.0), 1e-9),
     ((0.1, 1.0, 0.0), 1e-9), ((0.1, 1.0, -1.0), 1e-9), ((0.1, 1.0, 1.0), 0.0),
-    ((0.1, 1.0, 1.0), -1.0),
+    ((0.1, 1.0, 1.0), -1.0), ((0.1, 1.0, 1.0), math.nan), ((0.1, 1.0, 1.0), math.inf),
+    ((math.nan, 1.0, 1.0), 1e-9), ((0.1, math.nan, 1.0), 1e-9), ((0.1, math.inf, 1.0), 1e-9),
+    ((0.1, 1.0, math.nan), 1e-9),
 ])
 def test_window_counts_reject_bad_arguments_before_drawing(window, tol, monkeypatch):
     def no_draws(*args):

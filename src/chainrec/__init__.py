@@ -13,7 +13,11 @@ compute, so each can be checked against the others:
   chi-square test that cross-validate them against the exact engine.
 
 ``chainrec.cli`` wires everything into the ``chainrec`` command; the
-``verify`` subcommand runs the acceptance suite.
+``verify`` subcommand runs the acceptance suite.  The package keeps only
+what the commands and the criteria run: the scalar cross-checks that the
+tests alone use (the partial order, the log-transform route to chain
+records, the harmonic recursion for weak counts, the height-factor laws
+and the limit process drawn point by point) live in ``tests/oracles.py``.
 
 ``import chainrec`` itself loads none of these modules.  Each name below
 is imported from its home module on first use (PEP 562), so a program
@@ -30,37 +34,18 @@ _EXPORTS = {
     "chain_record_prob": "exact",
     "chain_record_prob_table": "exact",
     "expected_chain_count": "exact",
-    "expected_strong_count": "exact",
-    "expected_weak_count": "exact",
-    "expected_weak_count_table": "exact",
-    "height_factor_cdf": "exact",
-    "height_factor_density": "exact",
     "limit_moment": "exact",
-    "mellin": "exact",
     "moment_series": "exact",
     "poisson_weighted_chain_prob": "exact",
-    "stationary_density": "exact",
     "strong_record_prob": "exact",
-    "weak_record_prob": "exact",
     "weak_record_prob_table": "exact",
     "RecordDetector": "records",
-    "RecordFlags": "records",
-    "chain_record_indices": "records",
-    "classify_sequence": "records",
-    "dominates": "records",
-    "height": "records",
-    "log_transform": "records",
     "make_stream": "rng",
     "stream_id": "rng",
     "ChainRecordTrace": "samplers",
-    "LimitProcessWindow": "samplers",
     "sample_chain_counts": "samplers",
-    "sample_height_factor": "samplers",
-    "sample_limit_process": "samplers",
-    "sample_limit_variable": "samplers",
     "sample_limit_variables": "samplers",
     "simulate_direct": "samplers",
-    "simulate_insertion": "samplers",
     "simulate_sojourn": "samplers",
     "ExperimentSummary": "stats",
     "TestResult": "stats",

@@ -380,8 +380,8 @@ def _cmd_limits(args) -> int:
     except ValueError:
         raise ValueError(f"--window expects s_lo,s_hi,t_hi, got {value!r}") from None
     gen = make_stream(seed, stream_id(f"limits:window:d={d}:window={value}:tol={tol}"))
-    window = samplers.sample_limit_process(gen, d, (s_lo, s_hi, t_hi), tol)
-    lines = [header, "xi,sigma", *(f"{xi!r},{sigma!r}" for xi, sigma in window.points)]
+    xi, sigma = samplers.sample_window_points(gen, d, (s_lo, s_hi, t_hi), tol)
+    lines = [header, "xi,sigma", *(f"{h!r},{t!r}" for h, t in zip(xi.tolist(), sigma.tolist()))]
     _emit("\n".join(lines) + "\n", _resolve_out(args.out))
     return 0
 

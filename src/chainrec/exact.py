@@ -46,19 +46,6 @@ def _check_n(n: int, n_cap: int) -> None:
         )
 
 
-def mellin(d: int, lam) -> Fraction:
-    """Moment E[V^lam] of the height factor V, exactly: (lam+1)**(-d).
-
-    V is the height of a uniform mark, i.e. a product of d independent
-    uniforms.  ``lam`` may be any rational except the pole at -1.
-    """
-    _check_dim(d)
-    lam = Fraction(lam)
-    if lam == -1:
-        raise ValueError("pole at lam = -1")
-    return (lam + 1) ** (-d)
-
-
 def _binomial_transform(numerators: list[int], denominator: int) -> tuple[Fraction, ...]:
     """Every ``p_{m+1} = sum_k (-1)^k C(m, k) a_k``, m < N, with a_k = numerators[k] / denominator.
 
@@ -101,11 +88,6 @@ def strong_record_prob(d: int, n: int) -> Fraction:
     return Fraction(1, n**d)
 
 
-def weak_record_prob(d: int, n: int, *, n_cap: int = DEFAULT_N_CAP) -> Fraction:
-    """Exact probability of a weak record at index n."""
-    return weak_record_prob_table(d, n, n_cap=n_cap)[n - 1]
-
-
 def weak_record_prob_table(
     d: int, n_max: int, *, n_cap: int = DEFAULT_N_CAP
 ) -> tuple[Fraction, ...]:
@@ -115,41 +97,6 @@ def weak_record_prob_table(
     # a_k = (k+1)**-d over the common denominator lcm(1..n_max)**d
     lcm = math.lcm(*range(1, n_max + 1))
     return _binomial_transform([(lcm // (k + 1)) ** d for k in range(n_max)], lcm**d)
-
-
-def expected_strong_count(d: int, n: int) -> Fraction:
-    """Exact expected number of strong records among the first n marks."""
-    _check_dim(d)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"index must be a positive integer, got {n!r}")
-    return sum(Fraction(1, j**d) for j in range(1, n + 1))
-
-
-def expected_weak_count(d: int, n: int, *, n_cap: int = DEFAULT_N_CAP) -> Fraction:
-    """Exact expected number of weak records among the first n marks.
-
-    The d-fold nested sum over ordered index tuples is evaluated by the
-    iterated-harmonic recursion (O(d*n) rational operations); enumerating
-    the tuples directly would be exponential in d.
-    """
-    return expected_weak_count_table(d, n, n_cap=n_cap)[n - 1]
-
-
-def expected_weak_count_table(
-    d: int, n_max: int, *, n_cap: int = DEFAULT_N_CAP
-) -> tuple[Fraction, ...]:
-    """Expected weak-record counts for n = 1..n_max in one recursion pass."""
-    _check_dim(d)
-    _check_n(n_max, n_cap)
-    level = [Fraction(0)] * (n_max + 1)
-    for j in range(1, n_max + 1):
-        level[j] = level[j - 1] + Fraction(1, j)
-    for _ in range(d - 1):
-        nxt = [Fraction(0)] * (n_max + 1)
-        for j in range(1, n_max + 1):
-            nxt[j] = nxt[j - 1] + level[j] / j
-        level = nxt
-    return tuple(level[1:])
 
 
 def expected_chain_count(d: int, n: int, *, n_cap: int = DEFAULT_N_CAP) -> Fraction:
@@ -167,7 +114,7 @@ def moment_series(
 ) -> float:
     """Moment of order beta of the continuous-time record-height process.
 
-    Evaluates sum_k (-t)^k/k! * prod_{j<k}(1 - mellin(d, j+beta)) to within
+    Evaluates sum_k (-t)^k/k! * prod_{j<k}(1 - (j+beta+1)**-d) to within
     a fixed 1e-12.  The value is 1 at t=0 and nonincreasing in t.  Working
     precision grows linearly with t; past ``max_digits`` decimal digits the
     evaluation refuses -- for such t use the large-t asymptotics instead
@@ -244,34 +191,6 @@ def limit_moment(d: int, beta: int) -> Fraction:
     for r in range(2, beta + 1):
         den *= r**d - 1
     return Fraction(math.factorial(beta) ** (d + 1), den)
-
-
-def height_factor_cdf(d: int, s: float) -> float:
-    """CDF of the height factor (product of d uniforms) at s in (0, 1]."""
-    _check_dim(d)
-    if not 0 < s <= 1:
-        raise ValueError(f"s must lie in (0, 1], got {s!r}")
-    x = -math.log(s)
-    acc = 0.0
-    term = 1.0
-    for i in range(d):
-        if i:
-            term *= x / i
-        acc += term
-    return s * acc
-
-
-def height_factor_density(d: int, s: float) -> float:
-    """Density (-log s)^(d-1)/(d-1)! of the height factor on (0, 1]."""
-    _check_dim(d)
-    if not 0 < s <= 1:
-        raise ValueError(f"s must lie in (0, 1], got {s!r}")
-    return (-math.log(s)) ** (d - 1) / math.factorial(d - 1)
-
-
-def stationary_density(d: int, s: float) -> float:
-    """Stationary density of the height stick-breaking chain: CDF(s)/(s*d)."""
-    return height_factor_cdf(d, s) / (s * d)
 
 
 def format_decimal15(value: Fraction) -> str:

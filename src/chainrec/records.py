@@ -27,27 +27,13 @@ the budget itself forces one-row blocks with masks of ``F`` elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 Point = Sequence[float]
 
 _BLOCK_BUDGET = 1 << 20  # mask elements per block: (front + block rows) * block rows
-
-
-def dominates(x: Point, y: Point) -> bool:
-    """True when ``x`` beats ``y``: the points differ and x[i] <= y[i] for all i."""
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    strict = False
-    for a, b in zip(x, y):
-        if a > b:
-            return False
-        if a < b:
-            strict = True
-    return strict
 
 
 def _below(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -60,52 +46,6 @@ def _below(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(1, a.shape[1]):
         mask &= a[:, k, None] <= b[:, k]
     return mask
-
-
-def height(x: Point) -> float:
-    """Product of the coordinates: the volume of the lower section at ``x``."""
-    return math.prod(x)
-
-
-def log_transform(marks: Iterable[Point]) -> list[tuple[float, ...]]:
-    """Map every mark to its componentwise negative logarithm.
-
-    Lower chain records of the input correspond exactly to upper chain
-    records of the image (pass ``upper=True`` to
-    :func:`chain_record_indices`), which gives an independent route for
-    cross-checking the detector.  Raises on nonpositive coordinates.
-    """
-    out = []
-    for i, m in enumerate(marks, 1):
-        if any(c <= 0.0 for c in m):
-            raise ValueError(f"mark {i}: nonpositive coordinate, log transform undefined")
-        out.append(tuple(-math.log(c) for c in m))
-    return out
-
-
-@dataclass(frozen=True)
-class RecordFlags:
-    """Record classification of a single mark; ``index`` is 1-based."""
-
-    index: int
-    chain: bool
-    weak: bool
-    strong: bool
-    marginal: tuple[bool, ...]
-
-    @property
-    def marginal_any(self) -> bool:
-        return any(self.marginal)
-
-
-@dataclass
-class RecordCounts:
-    """Running totals per record type; marginal counts are per coordinate."""
-
-    chain: int = 0
-    weak: int = 0
-    strong: int = 0
-    marginal: list[int] = field(default_factory=list)
 
 
 class RecordDetector:
@@ -123,28 +63,18 @@ class RecordDetector:
             raise ValueError("dimension must be >= 1")
         self.dim = dim
         self.index = 0
-        self.counts = RecordCounts(marginal=[0] * dim)
         self._last_chain: tuple[float, ...] | None = None
         self._front = np.empty((0, dim))
         self._mins = np.full(dim, math.inf)
-
-    @property
-    def last_chain_record(self) -> tuple[float, ...] | None:
-        return self._last_chain
 
     @property
     def pareto_front(self) -> tuple[tuple[float, ...], ...]:
         """Current minimal elements of the processed history, insertion order."""
         return tuple(map(tuple, self._front.tolist()))
 
-    @property
-    def component_mins(self) -> tuple[float, ...]:
-        return tuple(self._mins.tolist())
-
-    def process(self, mark: Point) -> RecordFlags:
-        """Classify the next mark and update the stream state."""
-        (row,) = self.extend([mark]).tolist()
-        return RecordFlags(self.index, row[0], row[1], row[2], tuple(row[3:]))
+    def process(self, mark: Point) -> np.ndarray:
+        """Classify the next mark: one row of :meth:`extend`."""
+        return self.extend([mark])[0]
 
     def extend(self, marks: Sequence[Point]) -> np.ndarray:
         """Classify the next marks in order and update the stream state.
@@ -162,12 +92,6 @@ class RecordDetector:
             rows = max(1, (math.isqrt(f * f + 4 * _BLOCK_BUDGET) - f) // 2)
             self._classify_block(x[start:start + rows], out[start:start + rows])
             start += rows
-        totals = out.sum(axis=0).tolist()
-        self.counts.chain += totals[0]
-        self.counts.weak += totals[1]
-        self.counts.strong += totals[2]
-        for i, total in enumerate(totals[3:]):
-            self.counts.marginal[i] += total
         return out
 
     def _as_rows(self, marks: Sequence[Point]) -> np.ndarray:
@@ -231,36 +155,3 @@ class RecordDetector:
                 chain[j] = True
                 self._last_chain = point
         return chain
-
-
-def classify_sequence(marks: Iterable[Point]) -> list[RecordFlags]:
-    """Classify a whole finite sequence; a pure function of the input.
-
-    Raises on an empty sequence or inhomogeneous dimensions.
-    """
-    marks = list(marks)
-    if not marks:
-        raise ValueError("empty sequence")
-    flags = RecordDetector(len(marks[0])).extend(marks).tolist()
-    return [
-        RecordFlags(i, row[0], row[1], row[2], tuple(row[3:]))
-        for i, row in enumerate(flags, 1)
-    ]
-
-
-def chain_record_indices(points: Iterable[Point], upper: bool = False) -> list[int]:
-    """1-based chain-record indices of a raw point sequence.
-
-    With ``upper=True`` the reversed order is used (a point beats the
-    current record when every coordinate is at or above it); this is the
-    order under which :func:`log_transform` images must reproduce the
-    lower chain records of the original marks.
-    """
-    out: list[int] = []
-    rec: tuple[float, ...] | None = None
-    for i, p in enumerate(points, 1):
-        q = tuple(p)
-        if rec is None or (dominates(rec, q) if upper else dominates(q, rec)):
-            rec = q
-            out.append(i)
-    return out

@@ -6,14 +6,13 @@ and must agree in distribution:
 * ``simulate_direct``   -- detect records on n sampled marks, cost O(n*d);
 * ``simulate_sojourn``  -- stick-break the record heights and draw the
   geometric sojourns between records, cost O(log(n)/d) records;
-* ``simulate_insertion``-- screen a uniform sequence and replace first
-  hits below the current height, the partition-style counting oracle.
+* ``_insertion_counts_chunk`` -- screen a uniform sequence and replace
+  first hits below the current height, the partition-style counting oracle.
 
 Each law has one kernel, an array function of m replicates drawn from one
 generator (``_height_factor_column`` and the ``_*_chunk`` functions), and a
-scalar sampler is its kernel at m=1: ``simulate_insertion``,
-``sample_limit_variable`` and ``sample_height_factor``.  Three laws keep a
-second path, held equal to the first by tests:
+single draw is its kernel at m=1 (``sample_window_points`` for the window
+kernel).  Two laws keep a second path, held equal to the first by tests:
 
 * direct detection runs the block kernel ``_direct_counts_chunk`` for
   batches up to n=4096 and the growing-block scan ``_direct_scan`` above
@@ -21,10 +20,7 @@ second path, held equal to the first by tests:
 * ``simulate_sojourn`` walks its records in Python floats: through the
   array kernel a lone trace runs some fifteen distinct array operations,
   each slow to bring back into cache after other array work, which would
-  cost the sojourn simulator its speed at large n;
-* window counts come from ``_window_counts_chunk``, and
-  ``sample_limit_process`` draws the points themselves for one window;
-  at m=1 the kernel draws what the points sampler draws.
+  cost the sojourn simulator its speed at large n.
 
 The insertion kernel ``_insertion_counts_chunk`` draws the first height
 column, then the screened uniforms in (_TILE, m) tiles, with each height
@@ -77,19 +73,6 @@ class ChainRecordTrace:
         return len(self.record_times)
 
 
-@dataclass(frozen=True)
-class LimitProcessWindow:
-    """Points (height, arrival time) of the scaling-limit process in a window."""
-
-    points: tuple[tuple[float, float], ...]
-    window: tuple[float, float, float]  # (s_lo, s_hi, t_hi)
-    truncation_tol: float
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
-
 # ---------------------------------------------------------------------------
 # scalar samplers
 
@@ -111,11 +94,6 @@ def _check_window(d, window, truncation_tol):
     s_lo, s_hi, t_hi = window
     if not (0 < s_lo < s_hi < math.inf and t_hi > 0):
         raise ValueError("window must satisfy 0 < s_lo < s_hi < inf and t_hi > 0")
-
-
-def sample_height_factor(rng: np.random.Generator, d: int) -> float:
-    """One height factor: the product of d independent uniforms."""
-    return float(_height_factor_column(rng, d, 1)[0])
 
 
 def _direct_scan(rng, d, max_marks, max_records):
@@ -206,20 +184,6 @@ def simulate_sojourn(rng: np.random.Generator, d: int, n: int) -> ChainRecordTra
     return ChainRecordTrace(tuple(times), tuple(heights), n, d)
 
 
-def simulate_insertion(rng: np.random.Generator, d: int, n: int) -> int:
-    """Chain-record count by insertion: :func:`_insertion_counts_chunk` at m=1."""
-    _check_horizon(d, n)
-    return int(_insertion_counts_chunk(rng, d, n, 1)[0])
-
-
-def sample_limit_variable(
-    rng: np.random.Generator, d: int, tolerance: float = 1e-6
-) -> float:
-    """One limit-variable draw: :func:`_limit_variable_chunk` at m=1."""
-    _check_tolerance(d, tolerance)
-    return float(_limit_variable_chunk(rng, d, tolerance, 1)[0][0])
-
-
 def _straddle(rng, d, m):
     """-log of the stationary renewal-grid heights on both sides of level 1.
 
@@ -231,52 +195,6 @@ def _straddle(rng, d, m):
     straddle = rng.gamma(d + 1, size=m)
     x0 = rng.random(m) * straddle
     return x0 - straddle, x0
-
-
-def sample_limit_process(
-    rng: np.random.Generator,
-    d: int,
-    window: tuple[float, float, float],
-    truncation_tol: float = 1e-9,
-) -> LimitProcessWindow:
-    """One draw of the scaling-limit point process inside a window.
-
-    ``window = (s_lo, s_hi, t_hi)`` is the rectangle [s_lo, s_hi] x
-    [0, t_hi] in the (height, time) plane.  Heights form the stationary
-    multiplicative renewal grid; each arrival time is the backward sum of
-    exponentials over inverse heights, truncated when its expected
-    remainder bound (1/height)/(e^d - 1) -- a typical-growth
-    approximation using realized heights -- falls below
-    ``truncation_tol``.
-    """
-    _check_window(d, window, truncation_tol)
-    s_lo, s_hi, t_hi = window
-    # ascending -log(height); grid[0] is the deepest backward point
-    grid = [float(x[0]) for x in _straddle(rng, d, 1)]
-    tail_const = 1.0 / math.expm1(d)
-    while True:
-        top = math.exp(-grid[0])  # largest height collected so far
-        if top > s_hi and tail_const / top < truncation_tol:
-            break
-        grid.insert(0, grid[0] - float(rng.gamma(d)))
-
-    points: list[tuple[float, float]] = []
-    sigma = 0.0  # neglected tail below the truncation index counts as zero
-    for x in grid:
-        xi = math.exp(-x)
-        sigma += float(rng.exponential()) / xi
-        if s_lo <= xi <= s_hi and sigma <= t_hi:
-            points.append((xi, sigma))
-    x = grid[-1]
-    while sigma <= t_hi:
-        x += float(rng.gamma(d))
-        xi = math.exp(-x)
-        sigma += float(rng.exponential()) / xi
-        if xi < s_lo:
-            break
-        if xi <= s_hi and sigma <= t_hi:
-            points.append((xi, sigma))
-    return LimitProcessWindow(tuple(points), (s_lo, s_hi, t_hi), truncation_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +404,24 @@ def _limit_variable_chunk(gen, d, tolerance, m):
     return y, depth
 
 
-def _window_counts_chunk(gen, d, window, truncation_tol, m):
-    """The window-count kernel: point counts of m limit-process draws in a window.
+def _window_points_chunk(gen, d, window, truncation_tol, m):
+    """The window kernel: the in-window points of m limit-process draws.
 
-    Follows :func:`sample_limit_process` step for step and draws only for
-    the rows still active at each step: the straddle of level 1, the
-    backward Gamma(d) steps under the same stopping rule, one exponential
-    per grid point from each row's deepest point up, then the forward
-    steps until the arrival time passes ``t_hi`` or the height drops below
-    ``s_lo``.  At m=1 it draws what the points sampler draws, in order.
+    Heights form the stationary multiplicative renewal grid; each arrival
+    time is the backward sum of exponentials over inverse heights,
+    truncated when its expected remainder bound (1/height)/(e^d - 1) -- a
+    typical-growth approximation using realized heights -- falls below
+    ``truncation_tol``.  Each step draws only for the rows still active:
+    the straddle of level 1, the backward Gamma(d) steps under that
+    stopping rule, one exponential per grid point from each row's deepest
+    point up, then the forward steps until the arrival time passes
+    ``t_hi`` or the height drops below ``s_lo``.
+
+    ``window = (s_lo, s_hi, t_hi)`` is the rectangle [s_lo, s_hi] x
+    [0, t_hi] in the (height, time) plane.  Returns arrays
+    ``(rows, xi, sigma)``, one entry per point in the window, in draw
+    order: a row's points have decreasing heights ``xi`` and increasing
+    arrival times ``sigma``.
     """
     s_lo, s_hi, t_hi = window
     x_above, x0 = _straddle(gen, d, m)
@@ -516,23 +443,24 @@ def _window_counts_chunk(gen, d, window, truncation_tol, m):
         depth[rows] += 1
 
     grid = np.array(levels)
-    counts = np.zeros(m, dtype=np.int64)
     sigma = np.zeros(m)  # neglected tail below the truncation index counts as zero
+    arrivals = []  # (rows, heights, arrival times) of each step, in draw order
     for s in range(len(grid)):
         rows = np.flatnonzero(depth > s)
         xi = np.exp(-grid[depth[rows] - 1 - s, rows])
         sigma[rows] += gen.exponential(size=rows.size) / xi
-        counts[rows] += (s_lo <= xi) & (xi <= s_hi) & (sigma[rows] <= t_hi)
+        arrivals.append((rows, xi, sigma[rows]))
     x = x0.copy()
     rows = np.flatnonzero(sigma <= t_hi)
     while rows.size:
         x[rows] += gen.gamma(d, size=rows.size)
         xi = np.exp(-x[rows])
         sigma[rows] += gen.exponential(size=rows.size) / xi
-        inside = sigma[rows] <= t_hi
-        counts[rows] += (s_lo <= xi) & (xi <= s_hi) & inside
-        rows = rows[(xi >= s_lo) & inside]
-    return counts
+        arrivals.append((rows, xi, sigma[rows]))
+        rows = rows[(xi >= s_lo) & (arrivals[-1][2] <= t_hi)]
+    rows, xi, times = (np.concatenate(column) for column in zip(*arrivals))
+    inside = (s_lo <= xi) & (xi <= s_hi) & (times <= t_hi)
+    return rows[inside], xi[inside], times[inside]
 
 
 def sample_chain_counts(
@@ -657,5 +585,21 @@ def sample_window_counts(
     """Point counts of independent limit-process draws in a fixed window."""
     _check_window(d, window, truncation_tol)
     label = label or f"window-counts:d={d}:window={window}:tol={truncation_tol}"
-    fn = lambda gen, k: _window_counts_chunk(gen, d, window, truncation_tol, k)
+    fn = lambda gen, k: np.bincount(
+        _window_points_chunk(gen, d, window, truncation_tol, k)[0], minlength=k)
     return _run_chunked(fn, replicates, seed, label, _WINDOW_CHUNK, workers)
+
+
+def sample_window_points(
+    rng: np.random.Generator,
+    d: int,
+    window: tuple[float, float, float],
+    truncation_tol: float = 1e-9,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Heights and arrival times of one limit-process draw in a window.
+
+    :func:`_window_points_chunk` at m=1: the points in draw order, heights
+    decreasing and arrival times increasing.
+    """
+    _check_window(d, window, truncation_tol)
+    return _window_points_chunk(rng, d, window, truncation_tol, 1)[1:]

@@ -520,9 +520,13 @@ def run_suite(
             raise ValueError(f"unknown tolerance key {key!r}; choose from {list(TOLERANCE_KEYS)}")
         if math.isnan(value):
             raise ValueError(f"tolerance {key} must be a number, got {value!r}")
-        # c06 and c11 take the family-wise level of their chi-square tests
-        if key in ("c06", "c11") and not 0 < value < 1:
-            raise ValueError(f"tolerance {key} must be a level in (0, 1), got {value!r}")
+        # c06 and c11 take the family-wise level of their chi-square tests;
+        # the others bound an error or a count, which is never negative
+        if key in ("c06", "c11"):
+            if not 0 < value < 1:
+                raise ValueError(f"tolerance {key} must be a level in (0, 1), got {value!r}")
+        elif value < 0:
+            raise ValueError(f"tolerance {key} must be at least 0, got {value!r}")
     results: list[CriterionResult] = []
     for cid in SUITES[suite]:
         for res in CRITERIA[cid](seed, overrides or {}, workers):

@@ -14,6 +14,7 @@ import scipy.integrate
 
 from chainrec import exact, verify
 from chainrec.cli import main
+from oracles import height_factor_density
 
 CRITERIA = list(verify.CRITERIA)
 
@@ -88,7 +89,7 @@ def test_cli_child_runs_the_callers_package(tmp_path, monkeypatch):
 def test_c05_laguerre_integral_matches_adaptive_quadrature(d, beta, t):
     # the integral in s on (0, 1] that the Gauss-Laguerre rule replaced
     def integrand(s):
-        return s**beta * exact.moment_series(d, beta, t * s) * exact.height_factor_density(d, s)
+        return s**beta * exact.moment_series(d, beta, t * s) * height_factor_density(d, s)
 
     reference, _ = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
     assert abs(verify._renewal_integral(d, beta, t) - reference) < 1e-10

@@ -14,6 +14,7 @@ from chainrec import cli, exact, samplers
 from chainrec.cli import _read_marks_csv, main
 
 from conftest import ELEVEN_POINT_CHAIN, ELEVEN_POINT_MARKS, FOUR_POINT_MARKS
+from oracles import alternating_weak_prob
 from test_records import oracle_flags
 
 
@@ -204,7 +205,7 @@ def test_exact_weak_column_matches_alternating_sum(capsys, d):
     header = [l for l in out.splitlines() if l.startswith("n,")][0].split(",")
     col = header.index("p_weak_fraction")
     weak = [r.split(",")[col] for r in data_rows(out)]
-    assert weak == [str(exact.weak_record_prob(d, n)) for n in range(1, 61)]
+    assert weak == [str(alternating_weak_prob(d, n)) for n in range(1, 61)]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -738,6 +739,10 @@ def test_verify_rejects_an_unknown_tolerance_key(tmp_path, monkeypatch, capsys):
     ("limit", "c11=nan", "tolerance c11 must be a number, got nan"),
     ("oracle", "c06=1", "tolerance c06 must be a level in (0, 1), got 1.0"),
     ("exact", "c04=nan", "tolerance c04 must be a number, got nan"),
+    # a bounded criterion's error or count is never negative
+    ("exact", "c04=-1", "tolerance c04 must be at least 0, got -1.0"),
+    # a config line "tolerance=KEY=VAL" in place of the flag
+    ("asymptotic", "tolerance=c10-var=-0.5", "tolerance c10-var must be at least 0, got -0.5"),
 ])
 def test_verify_rejects_a_bad_tolerance_before_running(tmp_path, monkeypatch, capsys,
                                                         suite, override, message):
@@ -749,7 +754,12 @@ def test_verify_rejects_a_bad_tolerance_before_running(tmp_path, monkeypatch, ca
     monkeypatch.setattr(verify, "CRITERIA", dict.fromkeys(verify.CRITERIA, no_runs))
     out_dir = tmp_path / "out"
     monkeypatch.setenv("CHAINREC_OUT_DIR", str(out_dir))
-    assert main(["verify", "--suite", suite, "--tolerance", override]) == 1
+    if override.startswith("tolerance="):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(override + "\n")
+        assert main(["verify", "--suite", suite, "--config", str(cfg)]) == 1
+    else:
+        assert main(["verify", "--suite", suite, "--tolerance", override]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
 

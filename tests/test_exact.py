@@ -12,20 +12,21 @@ from chainrec.exact import (
     chain_record_prob,
     chain_record_prob_table,
     expected_chain_count,
-    expected_strong_count,
-    expected_weak_count,
-    expected_weak_count_table,
     format_decimal15,
-    height_factor_cdf,
-    height_factor_density,
     limit_moment,
-    mellin,
     moment_series,
     poisson_weighted_chain_prob,
-    stationary_density,
     strong_record_prob,
-    weak_record_prob,
     weak_record_prob_table,
+)
+from oracles import (
+    alternating_weak_prob,
+    expected_strong_count,
+    expected_weak_count_table,
+    height_factor_cdf,
+    height_factor_density,
+    mellin,
+    stationary_density,
 )
 
 
@@ -40,14 +41,6 @@ def naive_chain_prob(d, n):
         if k:
             c *= 1 - Fraction(1, (k + 1) ** d)
         term = math.comb(n - 1, k) * c
-        total += -term if k % 2 else term
-    return total
-
-
-def naive_weak_prob(d, n):
-    total = Fraction(0)
-    for k in range(n):
-        term = math.comb(n - 1, k) * Fraction(1, (k + 1) ** d)
         total += -term if k % 2 else term
     return total
 
@@ -120,13 +113,12 @@ def test_strong_prob():
 
 
 def test_weak_prob():
-    assert weak_record_prob(1, 4) == Fraction(1, 4)
-    assert weak_record_prob(5, 1) == 1
+    assert weak_record_prob_table(1, 4)[3] == Fraction(1, 4)
+    assert weak_record_prob_table(5, 1) == (1,)
     for d in range(1, 7):
         table = weak_record_prob_table(d, 80)
         for n in range(1, 81):
-            assert table[n - 1] == naive_weak_prob(d, n)
-            assert table[n - 1] == weak_record_prob(d, n)
+            assert table[n - 1] == alternating_weak_prob(d, n)
 
 
 def test_weak_prob_table_sums_to_the_harmonic_recursion():
@@ -140,15 +132,15 @@ def test_weak_prob_table_sums_to_the_harmonic_recursion():
 
 
 def test_weak_prob_is_classical_at_dimension_one():
-    for n in range(1, 40):
-        assert weak_record_prob(1, n) == Fraction(1, n)
+    assert weak_record_prob_table(1, 39) == tuple(Fraction(1, n) for n in range(1, 40))
 
 
 def test_probability_ordering_small():
     for d in range(1, 4):
         chain = chain_record_prob_table(d, 30)
+        weak = weak_record_prob_table(d, 30)
         for n in range(1, 31):
-            assert strong_record_prob(d, n) <= chain[n - 1] <= weak_record_prob(d, n)
+            assert strong_record_prob(d, n) <= chain[n - 1] <= weak[n - 1]
 
 
 def test_chain_prob_strictly_decreasing():
@@ -163,9 +155,8 @@ def test_cap_is_enforced_and_configurable():
         chain_record_prob(2, 501)
     assert chain_record_prob(1, 501, n_cap=501) == Fraction(1, 501)
     with pytest.raises(CapExceededError):
-        weak_record_prob(2, 501)
-    with pytest.raises(CapExceededError):
         weak_record_prob_table(2, 501)
+    assert weak_record_prob_table(1, 501, n_cap=501)[-1] == Fraction(1, 501)
     with pytest.raises(ValueError):
         chain_record_prob(2, 0)
 
@@ -176,14 +167,14 @@ def test_cap_is_enforced_and_configurable():
 
 def test_expected_counts_frozen_values():
     assert expected_strong_count(2, 3) == Fraction(49, 36)
-    assert expected_weak_count(1, 3) == Fraction(11, 6)
+    assert expected_weak_count_table(1, 3)[-1] == Fraction(11, 6)
     assert expected_chain_count(2, 3) == Fraction(17, 12)
 
 
 def test_expected_weak_count_matches_enumeration():
     for d in range(1, 4):
         for n in range(1, 9):
-            assert expected_weak_count(d, n) == enumerated_weak_count(d, n)
+            assert expected_weak_count_table(d, n)[-1] == enumerated_weak_count(d, n)
 
 
 def test_expected_weak_count_table_matches_pointwise():
@@ -191,7 +182,7 @@ def test_expected_weak_count_table_matches_pointwise():
     assert len(table) == 15
     for n in range(1, 16):
         assert table[n - 1] == enumerated_weak_count(3, n) if n <= 8 else True
-        assert table[n - 1] == expected_weak_count(3, n)
+        assert table[n - 1] == expected_weak_count_table(3, n)[-1]
 
 
 def test_expected_chain_count_is_prefix_sum():

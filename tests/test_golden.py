@@ -126,11 +126,13 @@ LIBRARY_CASES = {
     "simulate-direct-until": lambda: _scans(2, 10**6, 4, _streams("golden:until", 20)),
     "simulate-direct-until-capped": lambda: _scans(
         2, 3000, 50, _streams("golden:until-capped", 5)),
+    # single draws: the kernel at m=1, as a Python int or float
     "simulate-insertion-counts": lambda: repr(
-        [samplers.simulate_insertion(g, 2, 500) for g in _streams("golden:insertion", 50)]
+        [int(samplers._insertion_counts_chunk(g, 2, 500, 1)[0])
+         for g in _streams("golden:insertion", 50)]
     ).encode(),
     "sample-limit-variable": lambda: repr(
-        [samplers.sample_limit_variable(g, d, tol)
+        [float(samplers._limit_variable_chunk(g, d, tol, 1)[0][0])
          for d, tol in ((2, 1e-8), (3, 1e-6))
          for g in _streams(f"golden:y:d={d}", 50)]
     ).encode(),

@@ -11,6 +11,42 @@ import pytest
 import chainrec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(chainrec.__file__).resolve().parent
+
+
+def _names_reached_from(entry_modules):
+    """Every name the entry modules use, directly or through the package's definitions.
+
+    An ``ast`` walk over each module of the package: a top-level function
+    or class is reached once its name, bare or as an attribute, appears in
+    an entry module or in a definition already reached (a class with its
+    methods).
+    """
+    def names(tree):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+    definitions, todo = {}, set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append(node)
+        if path.stem in entry_modules:
+            todo |= names(tree)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in definitions.get(name, ()):
+            todo |= names(node) - reached
+    return reached
+
+
+def test_every_export_is_run_by_a_command_or_a_criterion():
+    # a helper that only the tests use belongs in tests/oracles.py
+    reached = _names_reached_from({"cli", "verify"})
+    assert sorted(set(chainrec._EXPORTS) - reached) == []
 
 
 def test_every_export_is_its_home_modules_object():

@@ -1,21 +1,17 @@
 """Detector tests against a brute-force oracle that rescans the history."""
 
 import math
+from collections import namedtuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainrec import records
-from chainrec.records import (
-    RecordDetector,
-    chain_record_indices,
-    classify_sequence,
-    dominates,
-    height,
-    log_transform,
-)
+from chainrec import records, samplers
+from chainrec.cli import _read_marks_csv
+from chainrec.records import RecordDetector
 from chainrec.rng import make_stream
+from oracles import chain_record_indices, dominates, log_transform
 
 from conftest import (
     ELEVEN_POINT_CHAIN,
@@ -62,11 +58,22 @@ def brute_minimal_set(marks):
     return {m for m in pts if not any(dominates(o, m) for o in pts)}
 
 
+Flags = namedtuple("Flags", "chain weak strong marginal")
+
+
+def classify(marks):
+    """The flags of each mark of a whole sequence, from one detector's ``extend``."""
+    rows = RecordDetector(len(marks[0])).extend(marks).tolist()
+    return [Flags(r[0], r[1], r[2], tuple(r[3:])) for r in rows]
+
+
+def indices(flags, kind):
+    """1-based indices of the marks whose flag ``kind`` is set."""
+    return [i for i, f in enumerate(flags, 1) if getattr(f, kind)]
+
+
 def assert_matches_oracle(marks):
-    flags = classify_sequence(marks)
-    expected = oracle_flags(marks)
-    for f, (chain, weak, strong, marginal) in zip(flags, expected):
-        assert (f.chain, f.weak, f.strong, f.marginal) == (chain, weak, strong, marginal)
+    assert classify(marks) == oracle_flags(marks)
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +104,13 @@ def test_dominates_dimension_mismatch():
 
 
 def test_height():
-    assert height((0.5, 0.5)) == 0.25
-    assert height((1.0, 1.0, 1.0)) == 1.0
-    assert abs(height((0.2, 0.5, 0.1)) - 0.01) < 1e-15
+    # a record's height is the product of its mark's coordinates
+    gen = make_stream(2024, 2)
+    trace = samplers.simulate_direct(gen, 3, 500)
+    marks = make_stream(2024, 2).random((500, 3))  # the uniforms the scan draws
+    chain = indices(classify(marks.tolist()), "chain")
+    assert tuple(chain) == trace.record_times
+    assert list(trace.heights) == pytest.approx([math.prod(marks[t - 1]) for t in chain], rel=1e-15)
 
 
 def test_log_transform_values():
@@ -118,62 +129,61 @@ def test_log_transform_rejects_zero():
 
 
 def test_four_point_sequence():
-    flags = classify_sequence(FOUR_POINT_MARKS)
-    assert [f.index for f in flags if f.chain] == [1, 2, 4]
-    assert [f.index for f in flags if f.weak] == [1, 2, 3, 4]
-    assert [f.index for f in flags if f.strong] == [1, 2, 4]
+    flags = classify(FOUR_POINT_MARKS)
+    assert indices(flags, "chain") == [1, 2, 4]
+    assert indices(flags, "weak") == [1, 2, 3, 4]
+    assert indices(flags, "strong") == [1, 2, 4]
     assert_matches_oracle(FOUR_POINT_MARKS)
 
 
 def test_four_point_counts():
     det = RecordDetector(2)
-    for m in FOUR_POINT_MARKS:
-        det.process(m)
-    assert (det.counts.chain, det.counts.weak, det.counts.strong) == (3, 4, 3)
+    totals = sum(det.process(m).astype(int) for m in FOUR_POINT_MARKS)
+    assert totals[:3].tolist() == [3, 4, 3]
 
 
 def test_eleven_point_sequence():
-    flags = classify_sequence(ELEVEN_POINT_MARKS)
-    assert [f.index for f in flags if f.chain] == ELEVEN_POINT_CHAIN
-    assert [f.index for f in flags if f.weak] == ELEVEN_POINT_WEAK
-    assert [f.index for f in flags if f.strong] == ELEVEN_POINT_STRONG
-    assert [f.index for f in flags if f.marginal_any] == ELEVEN_POINT_MARGINAL
+    flags = classify(ELEVEN_POINT_MARKS)
+    assert indices(flags, "chain") == ELEVEN_POINT_CHAIN
+    assert indices(flags, "weak") == ELEVEN_POINT_WEAK
+    assert indices(flags, "strong") == ELEVEN_POINT_STRONG
+    assert [i for i, f in enumerate(flags, 1) if any(f.marginal)] == ELEVEN_POINT_MARGINAL
     assert_matches_oracle(ELEVEN_POINT_MARKS)
 
 
 def test_single_mark_all_flags():
-    (f,) = classify_sequence([(0.3, 0.8, 0.1)])
+    (f,) = classify([(0.3, 0.8, 0.1)])
     assert f.chain and f.weak and f.strong and all(f.marginal)
 
 
 def test_decreasing_chain_counts():
     marks = [(x, x) for x in (0.9, 0.7, 0.5, 0.3, 0.1)]
     det = RecordDetector(2)
-    for m in marks:
-        det.process(m)
-    assert det.counts.chain == det.counts.weak == det.counts.strong == 5
+    totals = sum(det.process(m).astype(int) for m in marks)
+    assert totals[:3].tolist() == [5, 5, 5]
 
 
 def test_increasing_sequence_single_record():
     marks = [(x, x) for x in (0.1, 0.3, 0.5, 0.7, 0.9)]
     det = RecordDetector(2)
-    for m in marks:
-        det.process(m)
-    assert det.counts.chain == det.counts.weak == det.counts.strong == 1
+    totals = sum(det.process(m).astype(int) for m in marks)
+    assert totals[:3].tolist() == [1, 1, 1]
 
 
-def test_classify_rejects_empty_and_mixed_dims():
+def test_classify_rejects_empty_and_mixed_dims(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x1,x2\n")
+    with pytest.raises(ValueError, match="no marks after the header"):
+        _read_marks_csv(str(empty))
     with pytest.raises(ValueError):
-        classify_sequence([])
-    with pytest.raises(ValueError):
-        classify_sequence([(0.1, 0.2), (0.1, 0.2, 0.3)])
+        RecordDetector(2).extend([(0.1, 0.2), (0.1, 0.2, 0.3)])
 
 
 def test_ragged_input_names_the_first_bad_index():
     ragged = [(0.5, 0.5), (0.4, 0.6), (0.1, 0.2, 0.3), (0.2, 0.2)]
     message = "dimension mismatch at index 3: got 3, expected 2"
     with pytest.raises(ValueError, match=message):
-        classify_sequence(ragged)
+        RecordDetector(2).extend(ragged)
     det = RecordDetector(2)
     det.process(ragged[0])
     with pytest.raises(ValueError, match=message):
@@ -182,26 +192,27 @@ def test_ragged_input_names_the_first_bad_index():
     with pytest.raises(ValueError, match=message):
         det.process(ragged[2])
     # a rejected mark leaves the stream state as it was
-    assert det.index == 2 and det.counts.weak == 2
-    assert det.process(ragged[3]).index == 3
+    assert det.index == 2 and det.pareto_front == (ragged[0], ragged[1])
+    det.process(ragged[3])
+    assert det.index == 3
 
 
 def test_extend_of_no_marks_changes_nothing():
     det = RecordDetector(3)
     assert det.extend([]).shape == (0, 6)
-    assert det.index == 0 and det.last_chain_record is None
-    assert det.process((0.5, 0.5, 0.5)).chain
+    assert det.index == 0 and det.pareto_front == ()
+    assert det.process((0.5, 0.5, 0.5)).all()
 
 
 def test_ties():
     # a duplicate of the last record is a record of no kind
-    (_, dup) = classify_sequence([(0.5, 0.5), (0.5, 0.5)])
+    (_, dup) = classify([(0.5, 0.5), (0.5, 0.5)])
     assert not (dup.chain or dup.weak or dup.strong or any(dup.marginal))
     # one strict coordinate is enough for a chain record, not for a strong one
-    (_, step) = classify_sequence([(0.5, 0.5), (0.5, 0.3)])
+    (_, step) = classify([(0.5, 0.5), (0.5, 0.3)])
     assert step.chain and step.weak and not step.strong and step.marginal == (False, True)
     # a front point tied in one coordinate and lower in the other blocks weak
-    flags = classify_sequence([(0.2, 0.8), (0.8, 0.2), (0.2, 0.9), (0.9, 0.2)])
+    flags = classify([(0.2, 0.8), (0.8, 0.2), (0.2, 0.9), (0.9, 0.2)])
     assert [f.weak for f in flags] == [True, True, False, False]
 
 
@@ -209,12 +220,10 @@ def test_counts_match_flag_totals():
     gen = make_stream(2024, 1)
     marks = [tuple(row) for row in gen.random((200, 3))]
     det = RecordDetector(3)
-    flags = [det.process(m) for m in marks]
-    assert det.counts.chain == sum(f.chain for f in flags)
-    assert det.counts.weak == sum(f.weak for f in flags)
-    assert det.counts.strong == sum(f.strong for f in flags)
-    for i in range(3):
-        assert det.counts.marginal[i] == sum(f.marginal[i] for f in flags)
+    totals = sum(det.process(m).astype(int) for m in marks).tolist()
+    assert totals == RecordDetector(3).extend(marks).sum(axis=0).tolist()
+    expected = [[c, w, s, *marginal] for c, w, s, marginal in oracle_flags(marks)]
+    assert totals == [sum(column) for column in zip(*expected)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +233,8 @@ def test_counts_match_flag_totals():
 
 def test_permutation_flips_only_the_chain_flag():
     top, a, b, last = (0.9, 0.9), (0.8, 0.3), (0.3, 0.8), (0.25, 0.5)
-    with_a_first = classify_sequence([top, a, b, last])[-1]
-    with_b_first = classify_sequence([top, b, a, last])[-1]
+    with_a_first = classify([top, a, b, last])[-1]
+    with_b_first = classify([top, b, a, last])[-1]
     assert not with_a_first.chain and with_b_first.chain
     assert with_a_first.weak == with_b_first.weak
     assert with_a_first.strong == with_b_first.strong
@@ -247,7 +256,7 @@ def mark_lists(max_size=40, max_dim=4):
 
 @given(mark_lists())
 def test_inclusion_chain(marks):
-    for f in classify_sequence(marks):
+    for f in classify(marks):
         assert not f.strong or f.chain
         assert not f.chain or f.weak
         assert not f.strong or all(f.marginal)
@@ -269,18 +278,18 @@ def test_flags_match_oracle(marks):
 @given(mark_lists(max_size=20))
 def test_marginal_flags_are_per_coordinate_records(marks):
     # coordinate i of the marginal tuple depends only on coordinate i
-    flags = classify_sequence(marks)
+    flags = classify(marks)
     d = len(marks[0])
     for i in range(d):
         column = [(m[i],) for m in marks]
-        column_flags = classify_sequence(column)
+        column_flags = classify(column)
         assert [f.marginal[i] for f in flags] == [c.marginal[0] for c in column_flags]
 
 
 @given(mark_lists(max_size=15), st.data())
 def test_duplicate_of_earlier_mark_is_no_record(marks, data):
     i = data.draw(st.integers(min_value=0, max_value=len(marks) - 1))
-    f = classify_sequence(marks + [marks[i]])[-1]
+    f = classify(marks + [marks[i]])[-1]
     assert not (f.chain or f.weak or f.strong or any(f.marginal))
 
 
@@ -289,8 +298,8 @@ def test_prefix_permutation_preserves_nonchain_flags(marks, data):
     if len(marks) < 2:
         return
     prefix = data.draw(st.permutations(marks[:-1]))
-    base = classify_sequence(marks)[-1]
-    perm = classify_sequence(list(prefix) + [marks[-1]])[-1]
+    base = classify(marks)[-1]
+    perm = classify(list(prefix) + [marks[-1]])[-1]
     assert base.weak == perm.weak
     assert base.strong == perm.strong
     assert base.marginal == perm.marginal
@@ -311,20 +320,15 @@ def test_any_split_into_calls_matches_one_call(budget, marks, data):
             if data.draw(st.booleans()):
                 got.extend(det.extend(marks[lo:hi]).tolist())
             else:
-                got.extend(
-                    [f.chain, f.weak, f.strong, *f.marginal]
-                    for f in map(det.process, marks[lo:hi])
-                )
+                got.extend(det.process(m).tolist() for m in marks[lo:hi])
     rows = [(r[0], r[1], r[2], tuple(r[3:])) for r in got]
-    assert rows == [(f.chain, f.weak, f.strong, f.marginal) for f in classify_sequence(marks)]
+    assert rows == classify(marks)
     assert rows == oracle_flags(marks)
-    assert det.counts == whole.counts
-    assert det.counts.weak == sum(r[1] for r in got)
     assert det.pareto_front == whole.pareto_front
     # the front holds each minimal point once, in order of first arrival
     assert det.pareto_front == tuple(sorted(brute_minimal_set(marks), key=marks.index))
-    assert det.last_chain_record == whole.last_chain_record
-    assert det.component_mins == whole.component_mins
+    assert det._last_chain == whole._last_chain
+    assert det._mins.tolist() == whole._mins.tolist()
 
 
 def test_front_matches_brute_force_on_long_random_sequence():
@@ -347,8 +351,7 @@ def test_front_matches_brute_force_on_long_random_sequence():
 def test_chain_count_equals_distinct_layer_count():
     gen = make_stream(99, 5)
     marks = [tuple(row) for row in gen.random((300, 2))]
-    flags = classify_sequence(marks)
-    rec_times = [f.index for f in flags if f.chain]
+    rec_times = indices(classify(marks), "chain")
     rec_values = [marks[t - 1] for t in rec_times]
     # layer of mark j: one plus the number of records present by time j
     # whose lower section contains it

@@ -8,20 +8,24 @@ import pytest
 import scipy.stats
 
 from chainrec import exact, samplers, stats
-from chainrec.records import chain_record_indices, log_transform
 from chainrec.rng import make_stream
 from chainrec.samplers import (
     sample_chain_counts,
-    sample_height_factor,
-    sample_limit_process,
-    sample_limit_variable,
     sample_limit_variables,
     sample_poisson_paced_terminals,
     sample_renewal_counts,
     sample_window_counts,
+    sample_window_points,
     simulate_direct,
-    simulate_insertion,
     simulate_sojourn,
+)
+from oracles import (
+    chain_record_indices,
+    expected_weak_count_table,
+    height_factor_cdf,
+    limit_process_points,
+    log_transform,
+    mellin,
 )
 
 SEED = 8612
@@ -119,11 +123,11 @@ def test_batch_drivers_reject_an_empty_dimension_or_horizon(case):
 
 def test_height_factor_moments():
     gen = make_stream(SEED, 1)
-    draws = np.array([sample_height_factor(gen, 1) for _ in range(20000)])
+    draws = np.array([samplers._height_factor_column(gen, 1, 1)[0] for _ in range(20000)])
     assert zscore(draws, 0.5) < 4
     gen = make_stream(SEED, 2)
     d2 = np.exp(np.log(gen.random((100000, 2))).sum(axis=1))
-    assert zscore(d2, float(exact.mellin(2, 1))) < 4
+    assert zscore(d2, float(mellin(2, 1))) < 4
 
 
 def test_height_factor_log_moments():
@@ -141,7 +145,7 @@ def test_height_factor_matches_cdf():
     for d in (2, 3):
         draws = np.exp(np.log(gen.random((20000, d))).sum(axis=1))
         res = scipy.stats.kstest(draws, lambda s, d=d: np.vectorize(
-            lambda u: exact.height_factor_cdf(d, max(u, 1e-300)))(s))
+            lambda u: height_factor_cdf(d, max(u, 1e-300)))(s))
         assert res.pvalue > 1e-3, (d, res)
 
 
@@ -422,9 +426,9 @@ def _insertion_scan(rng, d, n):
 def test_insertion_kernel_equals_the_scalar_scan(d):
     for i in range(1000):
         n = 50 + 50 * (i % 10)
-        count = simulate_insertion(make_stream(SEED, 71, i), d, n)
+        count = samplers._insertion_counts_chunk(make_stream(SEED, 71, i), d, n, 1)
         _, heights, _ = _insertion_scan(make_stream(SEED, 71, i), d, n)
-        assert count == len(heights), (i, n)
+        assert count.tolist() == [len(heights)], (i, n)
 
 
 def _insertion_rows(gen, d, n, m):
@@ -479,12 +483,12 @@ def test_insertion_kernel_draws_at_most_one_tile_at_a_time():
 
 
 def test_insertion_single_mark():
-    assert simulate_insertion(make_stream(SEED, 70), 2, 1) == 1
+    assert samplers._insertion_counts_chunk(make_stream(SEED, 70), 2, 1, 1).tolist() == [1]
 
 
 def test_insertion_dimension_one_matches_classical_records():
     counts = sample_chain_counts("insertion", 1, 50, 30000, seed=SEED, label="test:ins1")
-    harmonic = float(exact.expected_weak_count(1, 50))  # harmonic number
+    harmonic = float(expected_weak_count_table(1, 50)[-1])  # harmonic number
     assert zscore(counts, harmonic) < 4
 
 
@@ -691,18 +695,20 @@ def test_limit_variable_alternative_sampler_dimension_two():
     assert res.pvalue >= 0.01, res
 
 
+def _one_limit_variable(gen, d, tolerance):
+    return samplers._limit_variable_chunk(gen, d, tolerance, 1)[0][0]
+
+
 def test_limit_variable_scalar_matches_tolerance_contract():
-    assert sample_limit_variable(make_stream(SEED, 94), 2, tolerance=1e-8) > 0
-    loose = np.array([sample_limit_variable(make_stream(SEED, 95, i), 2, 1e-2) for i in range(200)])
-    tight = np.array([sample_limit_variable(make_stream(SEED, 95, i), 2, 1e-10) for i in range(200)])
+    assert _one_limit_variable(make_stream(SEED, 94), 2, 1e-8) > 0
+    loose = np.array([_one_limit_variable(make_stream(SEED, 95, i), 2, 1e-2) for i in range(200)])
+    tight = np.array([_one_limit_variable(make_stream(SEED, 95, i), 2, 1e-10) for i in range(200)])
     # same streams, tighter tolerance: the series only gains terms
     assert (tight >= loose - 1e-12).all()
 
 
 @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
 def test_limit_variables_reject_a_tolerance_that_is_not_finite_and_positive(tolerance):
-    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
-        sample_limit_variable(make_stream(SEED, 94), 2, tolerance)
     with pytest.raises(ValueError, match="tolerance must be finite and positive"):
         sample_limit_variables(2, 5, tolerance=tolerance, seed=SEED)
 
@@ -712,17 +718,19 @@ def test_limit_variables_reject_a_tolerance_that_is_not_finite_and_positive(tole
 
 
 def test_window_points_lie_in_window_and_times_increase():
-    gen = make_stream(SEED, 96)
-    window = (0.05, 3.0, 10.0)
-    for _ in range(200):
-        draw = sample_limit_process(gen, 2, window)
-        xi = [p[0] for p in draw.points]
-        sigma = [p[1] for p in draw.points]
-        assert all(0.05 <= x <= 3.0 for x in xi)
-        assert all(0 < s <= 10.0 for s in sigma)
-        # times increase as heights decrease
-        assert all(s2 > s1 for s1, s2 in zip(sigma, sigma[1:]))
-        assert all(x2 < x1 for x1, x2 in zip(xi, xi[1:]))
+    # every row of one full window chunk
+    m = 1024
+    rows, xi, sigma = samplers._window_points_chunk(make_stream(SEED, 96), 2, (0.05, 3.0, 10.0),
+                                                    1e-9, m)
+    assert ((0.05 <= xi) & (xi <= 3.0)).all()
+    assert ((0 < sigma) & (sigma <= 10.0)).all()
+    # a row's points come in draw order: times increase as heights decrease
+    order = np.argsort(rows, kind="stable")
+    rows, xi, sigma = rows[order], xi[order], sigma[order]
+    same_row = rows[1:] == rows[:-1]
+    assert (np.diff(xi)[same_row] < 0).all()
+    assert (np.diff(sigma)[same_row] > 0).all()
+    assert same_row.sum() > m // 2  # the order checks compare hundreds of pairs
 
 
 def test_window_counts_hyperbolic_invariance_small():
@@ -735,24 +743,28 @@ def test_window_counts_hyperbolic_invariance_small():
 def test_window_rejects_bad_arguments():
     gen = make_stream(SEED, 97)
     with pytest.raises(ValueError):
-        sample_limit_process(gen, 2, (0.5, 0.2, 1.0))
+        sample_window_points(gen, 2, (0.5, 0.2, 1.0))
     with pytest.raises(ValueError):
-        sample_limit_process(gen, 2, (0.1, 1.0, 1.0), truncation_tol=-1.0)
+        sample_window_points(gen, 2, (0.1, 1.0, 1.0), truncation_tol=-1.0)
 
 
 @pytest.mark.parametrize("window", [(0.25, 1.0, 4.0), (0.5, 2.0, 2.0), (0.05, 3.0, 10.0)])
 def test_window_kernel_at_one_replicate_counts_the_points_sampler(window):
     # the c11 base and image windows and the golden window, on the same streams
-    for i in range(1500):
-        count = samplers._window_counts_chunk(make_stream(SEED, 98, i), 2, window, 1e-9, 1)
-        assert count.tolist() == [sample_limit_process(make_stream(SEED, 98, i), 2, window).count], i
+    for d in (1, 2, 3):
+        for i in range(500):
+            xi, sigma = sample_window_points(make_stream(SEED, 98, 1000 * d + i), d, window)
+            points = limit_process_points(make_stream(SEED, 98, 1000 * d + i), d, window)
+            assert len(xi) == len(points), (d, i)
+            assert xi.tolist() == pytest.approx([p[0] for p in points], rel=1e-12, abs=0)
+            assert sigma.tolist() == pytest.approx([p[1] for p in points], rel=1e-12, abs=0)
 
 
 def test_window_kernel_rows_have_the_law_of_the_points_sampler():
     window = (0.05, 3.0, 10.0)
     batch = sample_window_counts(2, window, 4000, seed=SEED, label="test:w:batch")
     gen = make_stream(SEED, 99)
-    points = [sample_limit_process(gen, 2, window).count for _ in range(4000)]
+    points = [len(limit_process_points(gen, 2, window)) for _ in range(4000)]
     res = stats.two_sample_test(batch, np.array(points), significance=0.001)
     assert not res.reject, res
 

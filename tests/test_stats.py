@@ -67,7 +67,7 @@ def test_run_chunked_chunk_i_draws_substream_i(chunk_size, workers):
 
 def test_estimate_log_height_factor():
     # the mean negative log height factor is the dimension
-    logs = -np.log(_scalar_draws(lambda gen: samplers.sample_height_factor(gen, 3), 4000,
+    logs = -np.log(_scalar_draws(lambda gen: samplers._height_factor_column(gen, 3, 1)[0], 4000,
                                  "test:logw"))
     summary = summarize(logs, "log-height-factor", SEED, {"d": 3})
     assert abs(summary.value - 3.0) < 4 * summary.std_error
@@ -83,7 +83,7 @@ def test_estimate_count_mean_against_exact():
 
 def test_standard_error_scaling():
     # doubling the replicates shrinks the standard error by about sqrt(2)
-    draw = lambda gen: samplers.sample_height_factor(gen, 2)
+    draw = lambda gen: samplers._height_factor_column(gen, 2, 1)[0]
     small = summarize(_scalar_draws(draw, 4000, "test:se"), "se", SEED)
     large = summarize(_scalar_draws(draw, 8000, "test:se"), "se", SEED)
     ratio = large.std_error / small.std_error

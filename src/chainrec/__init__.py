@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 # each exported name and the module that defines it
 _EXPORTS = {
     "CapExceededError": "exact",
-    "chain_record_prob": "exact",
     "chain_record_prob_table": "exact",
     "expected_chain_count": "exact",
     "limit_moment": "exact",

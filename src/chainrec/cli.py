@@ -71,6 +71,15 @@ def _tolerance(item: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(message) from None
 
 
+def _worker_count(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+
+
 def _resolve_out(out: str | None) -> Path | None:
     if out is None:
         return None
@@ -402,9 +411,11 @@ def _cmd_verify(args) -> int:
     results = verify_mod.run_suite(suite, seed, overrides, args.workers, report=print)
     elapsed = time.monotonic() - started
 
-    # the worker count never changes results, so it is not part of the
-    # recorded configuration
-    meta = _meta_dict("verify", seed, {"suite": suite, "tolerance_overrides": overrides})
+    # the worker count never changes results, and an override that no
+    # criterion of the suite read changes nothing, so neither is recorded
+    read = {r.criterion for r in results}
+    recorded = {key: value for key, value in overrides.items() if key in read}
+    meta = _meta_dict("verify", seed, {"suite": suite, "tolerance_overrides": recorded})
     doc = {
         "meta": meta,
         "criteria": [r.as_dict() for r in results],
@@ -445,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help=f"output path (relative paths resolve under ${ENV_OUT_DIR})")
 
     def workers(p):
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_worker_count, default=1,
                        help="worker threads, never changes results (default %(default)s)")
 
     p = sub.add_parser("detect", help="classify a CSV of marks by record type")

@@ -11,8 +11,9 @@ is an alternating series whose intermediate terms reach ~exp(t); it is
 evaluated in the standard library's arbitrary-precision decimals, with the
 working precision chosen from that a-priori bound.
 
-Resource ceilings (``n_cap``, ``max_digits``) are hard errors, never a
-silent fall back to floating point.
+Resource ceilings are hard errors, never a silent fall back to floating
+point.  The tables take an ``n_cap``; the other functions read
+``DEFAULT_N_CAP`` or ``DEFAULT_DIGIT_CEILING`` when called.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ def _binomial_transform(numerators: list[int], denominator: int) -> tuple[Fracti
     return tuple(out)
 
 
-def chain_record_prob(d: int, n: int, *, n_cap: int = DEFAULT_N_CAP) -> Fraction:
-    """Exact probability that the mark at index n is a chain record."""
-    return chain_record_prob_table(d, n, n_cap=n_cap)[n - 1]
-
-
 def chain_record_prob_table(
     d: int, n_max: int, *, n_cap: int = DEFAULT_N_CAP
 ) -> tuple[Fraction, ...]:
@@ -99,26 +95,23 @@ def weak_record_prob_table(
     return _binomial_transform([(lcm // (k + 1)) ** d for k in range(n_max)], lcm**d)
 
 
-def expected_chain_count(d: int, n: int, *, n_cap: int = DEFAULT_N_CAP) -> Fraction:
+def expected_chain_count(d: int, n: int) -> Fraction:
     """Exact expected number of chain records among the first n marks.
 
     No closed form is available; this is the partial sum of the per-index
     probabilities, exact by linearity of expectation.
     """
-    table = chain_record_prob_table(d, n, n_cap=n_cap)
-    return sum(table, Fraction(0))
+    return sum(chain_record_prob_table(d, n, n_cap=DEFAULT_N_CAP), Fraction(0))
 
 
-def moment_series(
-    d: int, beta: int, t: float, *, max_digits: int = DEFAULT_DIGIT_CEILING
-) -> float:
+def moment_series(d: int, beta: int, t: float) -> float:
     """Moment of order beta of the continuous-time record-height process.
 
     Evaluates sum_k (-t)^k/k! * prod_{j<k}(1 - (j+beta+1)**-d) to within
     a fixed 1e-12.  The value is 1 at t=0 and nonincreasing in t.  Working
-    precision grows linearly with t; past ``max_digits`` decimal digits the
-    evaluation refuses -- for such t use the large-t asymptotics instead
-    (t**beta * m -> limit_moment(d, beta)).
+    precision grows linearly with t; past ``DEFAULT_DIGIT_CEILING`` decimal
+    digits the evaluation refuses -- for such t use the large-t asymptotics
+    instead (t**beta * m -> limit_moment(d, beta)).
     """
     _check_dim(d)
     if not isinstance(beta, int) or beta < 1:
@@ -128,9 +121,9 @@ def moment_series(
     if t == 0:
         return 1.0
     digits = int(t / math.log(10)) + int(-math.log10(_MOMENT_TOL)) + 21
-    if digits > max_digits:
+    if digits > DEFAULT_DIGIT_CEILING:
         raise CapExceededError(
-            f"t={t} needs ~{digits} working digits (> ceiling {max_digits}); "
+            f"t={t} needs ~{digits} working digits (> ceiling {DEFAULT_DIGIT_CEILING}); "
             f"use the asymptotic value t**-beta * limit_moment(d, beta) instead"
         )
     with localcontext() as ctx:
@@ -150,11 +143,11 @@ def moment_series(
         return float(total)
 
 
-def poisson_weighted_chain_prob(d: int, t: float, *, n_cap: int = DEFAULT_N_CAP) -> float:
+def poisson_weighted_chain_prob(d: int, t: float) -> float:
     """Chain-record probability at index 1 + Poisson(t), averaged exactly.
 
-    This is an independent route to ``moment_series(d, 1, t)`` -- the two
-    must agree to ~1e-10, which is one of the acceptance cross-checks.
+    This is an independent route to ``moment_series(d, 1, t)``; acceptance
+    criterion c04 compares the two.
     The Poisson mixture is truncated once its remaining mass drops below
     1e-12.
     """
@@ -167,14 +160,14 @@ def poisson_weighted_chain_prob(d: int, t: float, *, n_cap: int = DEFAULT_N_CAP)
     n = 0
     while 1.0 - cum > _POISSON_TAIL:
         n += 1
-        if n + 1 > n_cap:
+        if n + 1 > DEFAULT_N_CAP:
             raise CapExceededError(
-                f"Poisson truncation at t={t} needs indices past the cap {n_cap}"
+                f"Poisson truncation at t={t} needs indices past the cap {DEFAULT_N_CAP}"
             )
         weight *= t / n
         weights.append(weight)
         cum += weight
-    table = chain_record_prob_table(d, n + 1, n_cap=n_cap)
+    table = chain_record_prob_table(d, n + 1, n_cap=DEFAULT_N_CAP)
     return float(sum(w * float(p) for w, p in zip(weights, table)))
 
 

@@ -2,9 +2,10 @@
 
 Each case prints one PASS/FAIL line per criterion entry (through the
 capture, so the lines always appear in the terminal).  Tolerances are
-pinned inside :mod:`chainrec.verify`; nothing here loosens them.
+pinned in the table ``verify.TOLERANCES``; nothing here loosens them.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -17,6 +18,7 @@ from chainrec.cli import main
 from oracles import height_factor_density
 
 CRITERIA = list(verify.CRITERIA)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("cid", CRITERIA)
@@ -32,6 +34,27 @@ def test_criterion(cid, capsys):
             )
     failed = [r.as_dict() for r in results if not r.passed]
     assert not failed, failed
+    # each reported key is in the table, with the table's default (a level
+    # is split evenly over a Bonferroni family of tests)
+    for r in results:
+        kind, default = verify.TOLERANCES[r.criterion]
+        tests = round(default / r.tolerance) if kind == "level" else 1
+        assert r.tolerance == default / tests, (r.criterion, r.tolerance)
+    # a key "cNN" or "cNN-part" belongs to criterion cNN: each criterion reports
+    # its own keys and every key names a criterion, so together they report all
+    assert {r.criterion for r in results} == {
+        key for key in verify.TOLERANCES if key.partition("-")[0] == cid}
+    assert {key.partition("-")[0] for key in verify.TOLERANCES} == set(CRITERIA)
+
+
+def test_the_readme_states_each_tolerance_key_and_its_default():
+    section = README.read_text().partition("## What the acceptance suite checks")[2]
+    section = section.partition("\n## ")[0]
+    stated = re.findall(r"`(c\d\d(?:-[a-z]+)?)` (<=|p >=) ([\d.e-]+)", section)
+    kinds = {"<=": "bound", "p >=": "level"}
+    assert len(stated) == len(verify.TOLERANCES)
+    assert {key: (kinds[sign], float(default)) for key, sign, default in stated} == (
+        verify.TOLERANCES)
 
 
 def test_suite_registry_covers_every_criterion():

@@ -189,7 +189,7 @@ def test_exact_decimal_column(capsys):
     rows = data_rows(capsys.readouterr().out)
     cells = rows[2].split(",")
     assert cells[1] == "1/6"
-    assert cells[2] == exact.format_decimal15(exact.chain_record_prob(2, 3))
+    assert cells[2] == exact.format_decimal15(exact.chain_record_prob_table(2, 3)[2])
 
 
 def test_exact_cap_error(capsys):
@@ -582,6 +582,22 @@ def test_a_config_tolerance_overrides_its_criterion(tmp_path, capsys):
     assert [c["criterion"] for c in doc["criteria"] if not c["pass"]] == ["c04"]
 
 
+def test_an_override_the_suite_does_not_read_is_checked_but_not_recorded(tmp_path, capsys):
+    assert main(["verify", "--suite", "exact", "--out", str(tmp_path / "plain")]) == 0
+    assert main(["verify", "--suite", "exact", "--out", str(tmp_path / "c06"),
+                 "--tolerance", "c06=0.5", "--tolerance", "c04=1e-9"]) == 0
+    doc = json.loads((tmp_path / "c06.json").read_text())
+    assert doc["meta"]["config"]["tolerance_overrides"] == {"c04": 1e-9}
+    assert main(["verify", "--suite", "exact", "--out", str(tmp_path / "c06-only"),
+                 "--tolerance", "c06=0.5"]) == 0
+    for suffix in (".json", ".csv"):
+        plain = (tmp_path / f"plain{suffix}").read_bytes()
+        assert (tmp_path / f"c06-only{suffix}").read_bytes() == plain
+    # an unread override is still checked: a level of 1 is no level
+    assert main(["verify", "--suite", "exact", "--tolerance", "c06=1"]) == 1
+    assert "tolerance c06 must be a level in (0, 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize(
     "argv, option, message",
@@ -593,8 +609,16 @@ def test_a_config_tolerance_overrides_its_criterion(tmp_path, capsys):
          "argument --tolerance: expected KEY=VAL with a number VAL, got 'c04=abc'"),
         (["verify", "--suite", "exact"], ("tolerance", "c04"),
          "argument --tolerance: expected KEY=VAL with a number VAL, got 'c04'"),
+        # a worker count below 1 is rejected by the parser, before any pool starts
+        (["simulate", "--d", "2", "--n", "5", "--replicates", "3", "--seed", "1"],
+         ("workers", "0"), "argument --workers: expected an integer of at least 1, got '0'"),
+        (["limits", "--kind", "y", "--d", "2", "--replicates", "3", "--seed", "1"],
+         ("workers", "-2"), "argument --workers: expected an integer of at least 1, got '-2'"),
+        (["verify", "--suite", "exact"], ("workers", "0"),
+         "argument --workers: expected an integer of at least 1, got '0'"),
     ],
-    ids=["d", "method", "tolerance", "tolerance-without-value"],
+    ids=["d", "method", "tolerance", "tolerance-without-value", "simulate-workers",
+         "limits-workers", "verify-workers"],
 )
 def test_a_bad_value_is_a_usage_error_from_a_flag_or_a_config_line(
     tmp_path, monkeypatch, capsys, source, argv, option, message
@@ -819,7 +843,7 @@ for label in sys.argv[3:]:
     assert not scipy_loaded(), (label, scipy_loaded()[:3])
 
 from chainrec.stats import two_sample_test
-assert not two_sample_test([0, 1, 1, 2] * 20, [1, 0, 2, 1] * 20).reject
+assert two_sample_test([0, 1, 1, 2] * 20, [1, 0, 2, 1] * 20).pvalue >= 0.01
 assert not scipy_loaded(), ("the chi-square test", scipy_loaded()[:3])
 print("ok")
 """

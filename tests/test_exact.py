@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 import scipy.integrate
 
+from chainrec import exact
 from chainrec.exact import (
     CapExceededError,
-    chain_record_prob,
     chain_record_prob_table,
     expected_chain_count,
     format_decimal15,
@@ -87,10 +87,10 @@ def test_log_moments_by_exact_finite_differences():
 
 
 def test_chain_prob_frozen_values():
-    assert chain_record_prob(1, 5) == Fraction(1, 5)
-    assert chain_record_prob(2, 7) == Fraction(1, 14)
-    assert chain_record_prob(3, 2) == Fraction(1, 8)
-    assert chain_record_prob(4, 1) == 1
+    assert chain_record_prob_table(1, 5)[4] == Fraction(1, 5)
+    assert chain_record_prob_table(2, 7)[6] == Fraction(1, 14)
+    assert chain_record_prob_table(3, 2)[1] == Fraction(1, 8)
+    assert chain_record_prob_table(4, 1) == (1,)
 
 
 def test_chain_prob_matches_naive_fraction_route():
@@ -98,13 +98,13 @@ def test_chain_prob_matches_naive_fraction_route():
         table = chain_record_prob_table(d, 80)
         for n in range(1, 81):
             assert table[n - 1] == naive_chain_prob(d, n)
-            assert table[n - 1] == chain_record_prob(d, n)
 
 
 def test_chain_prob_closed_forms_low_dimension():
+    one, two = chain_record_prob_table(1, 59), chain_record_prob_table(2, 59)
     for n in range(2, 60):
-        assert chain_record_prob(1, n) == Fraction(1, n)
-        assert chain_record_prob(2, n) == Fraction(1, 2 * n)
+        assert one[n - 1] == Fraction(1, n)
+        assert two[n - 1] == Fraction(1, 2 * n)
 
 
 def test_strong_prob():
@@ -150,15 +150,23 @@ def test_chain_prob_strictly_decreasing():
             assert table[n] < table[n - 1]
 
 
-def test_cap_is_enforced_and_configurable():
+def test_cap_is_enforced_and_configurable(monkeypatch):
     with pytest.raises(CapExceededError):
-        chain_record_prob(2, 501)
-    assert chain_record_prob(1, 501, n_cap=501) == Fraction(1, 501)
+        chain_record_prob_table(2, 501)
+    assert chain_record_prob_table(1, 501, n_cap=501)[-1] == Fraction(1, 501)
     with pytest.raises(CapExceededError):
         weak_record_prob_table(2, 501)
     assert weak_record_prob_table(1, 501, n_cap=501)[-1] == Fraction(1, 501)
     with pytest.raises(ValueError):
-        chain_record_prob(2, 0)
+        chain_record_prob_table(2, 0)
+    # the other functions read the module's cap when they are called
+    monkeypatch.setattr(exact, "DEFAULT_N_CAP", 10)
+    assert expected_chain_count(1, 10) == sum(Fraction(1, n) for n in range(1, 11))
+    with pytest.raises(CapExceededError, match="n=11 exceeds the cap 10"):
+        expected_chain_count(1, 11)
+    # the Poisson(5) mixture needs indices well past 10
+    with pytest.raises(CapExceededError, match="past the cap 10"):
+        poisson_weighted_chain_prob(1, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +253,11 @@ def test_moment_series_matches_poisson_mixture():
     assert abs(lhs - rhs) < 1e-12
 
 
-def test_moment_series_digit_ceiling():
-    with pytest.raises(CapExceededError):
-        moment_series(2, 1, 50.0, max_digits=30)
+def test_moment_series_digit_ceiling(monkeypatch):
     moment_series(2, 1, 50.0)  # default ceiling is ample
+    monkeypatch.setattr(exact, "DEFAULT_DIGIT_CEILING", 30)
+    with pytest.raises(CapExceededError, match="ceiling 30"):
+        moment_series(2, 1, 50.0)
 
 
 def test_moment_series_large_t_asymptotics():

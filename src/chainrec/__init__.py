@@ -46,7 +46,6 @@ _EXPORTS = {
     "sample_limit_variables": "samplers",
     "simulate_direct": "samplers",
     "simulate_sojourn": "samplers",
-    "ExperimentSummary": "stats",
     "TestResult": "stats",
     "regression_slope": "stats",
     "two_sample_test": "stats",

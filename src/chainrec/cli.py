@@ -71,6 +71,14 @@ def _tolerance(item: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(message) from None
 
 
+def _window(text: str) -> tuple[float, float, float]:
+    try:
+        s_lo, s_hi, t_hi = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected s_lo,s_hi,t_hi, got {text!r}") from None
+    return s_lo, s_hi, t_hi
+
+
 def _worker_count(text: str) -> int:
     try:
         if int(text) >= 1:
@@ -318,17 +326,18 @@ def _cmd_simulate(args) -> int:
         if args.method not in ("direct", "sojourn"):
             raise ValueError("--trace-out needs --method direct or sojourn")
 
-    values = _simulate_values(params, args.replicates, seed, args.workers)
-    summary = stats.summarize(values, what, seed, params)
+    replicates = args.replicates
+    value, std_error = stats.summarize(_simulate_values(params, replicates, seed, args.workers))
 
-    doc = {"meta": _meta_dict("simulate", seed, params), **summary.as_dict()}
+    doc = {"meta": _meta_dict("simulate", seed, params), "estimator": what, "value": value,
+           "std_error": std_error, "replicates": replicates, "seed": seed, "params": params}
     json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    se_text = "NA" if summary.std_error is None else repr(summary.std_error)
+    se_text = "NA" if std_error is None else repr(std_error)
     csv_text = "\n".join(
         [
             _meta_comment("simulate", seed, params),
             "estimator,value,std_error,replicates,seed",
-            f"{summary.estimator},{summary.value!r},{se_text},{summary.replicates},{seed}",
+            f"{what},{value!r},{se_text},{replicates},{seed}",
         ]
     ) + "\n"
 
@@ -375,7 +384,9 @@ def _cmd_limits(args) -> int:
     value = getattr(args, option)
     if value is None:
         raise ValueError(f"--{option} is required for --kind {kind}")
-    header = _meta_comment("limits", seed, {"kind": kind, "d": d, option: value,
+    # a window is named by its floats, so each spelling of it draws one sample
+    named = ",".join(map(repr, value)) if kind == "window" else value
+    header = _meta_comment("limits", seed, {"kind": kind, "d": d, option: named,
                                             "truncation_tol": tol})
     if kind == "y":
         values, _ = samplers.sample_limit_variables(
@@ -384,12 +395,8 @@ def _cmd_limits(args) -> int:
         )
         _emit(_value_lines(header, values), _resolve_out(args.out))
         return 0
-    try:
-        s_lo, s_hi, t_hi = (float(x) for x in value.split(","))
-    except ValueError:
-        raise ValueError(f"--window expects s_lo,s_hi,t_hi, got {value!r}") from None
-    gen = make_stream(seed, stream_id(f"limits:window:d={d}:window={value}:tol={tol}"))
-    xi, sigma = samplers.sample_window_points(gen, d, (s_lo, s_hi, t_hi), tol)
+    gen = make_stream(seed, stream_id(f"limits:window:d={d}:window={named}:tol={tol}"))
+    xi, sigma = samplers.sample_window_points(gen, d, value, tol)
     lines = [header, "xi,sigma", *(f"{h!r},{t!r}" for h, t in zip(xi.tolist(), sigma.tolist()))]
     _emit("\n".join(lines) + "\n", _resolve_out(args.out))
     return 0
@@ -500,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="dimension")
     p.add_argument("--replicates", type=int, help="number of draws (kind y)")
     p.add_argument("--seed", type=int, required=True, help="root seed")
-    p.add_argument("--window", help="s_lo,s_hi,t_hi rectangle (kind window)")
+    p.add_argument("--window", type=_window, help="s_lo,s_hi,t_hi rectangle (kind window)")
     defaults = ", ".join(f"{tol:g} for {kind}" for kind, (_, tol) in _LIMIT_KINDS.items())
     p.add_argument("--truncation-tol", type=float,
                    help=f"tail truncation tolerance (default {defaults})")

@@ -95,6 +95,14 @@ class RecordDetector:
         return out
 
     def _as_rows(self, marks: Sequence[Point]) -> np.ndarray:
+        # the marks are scanned one by one, to name the first bad index, only
+        # when numpy rejects them as ragged or their shape is wrong
+        try:
+            x = np.asarray(marks, dtype=float)
+            if x.shape[1:] == (self.dim,):
+                return x
+        except ValueError:
+            pass
         for k, mark in enumerate(marks, self.index + 1):
             if len(mark) != self.dim:
                 raise ValueError(

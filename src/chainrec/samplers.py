@@ -26,7 +26,7 @@ The insertion kernel ``_insertion_counts_chunk`` draws the first height
 column, then the screened uniforms in (_TILE, m) tiles, with each height
 factor column drawn the first time a row needs it.  So a chunk holds one
 tile and its factor columns, never its (m, n) uniform block: 4 MB at
-m = 8192 where the block held 65.5 MB at n = 1000.
+m = 8192.
 
 Scalar functions take a generator from :func:`chainrec.rng.make_stream`
 and are pure given that stream.  Every batch result -- the ``sample_*``
@@ -215,6 +215,8 @@ def _run_chunked(chunk_fn, total, seed, label, chunk, workers):
     """
     if total < 1:
         raise ValueError("replicates must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     sid = stream_id(label)
     sizes = [min(chunk, total - lo) for lo in range(0, total, chunk)]
 

@@ -1,35 +1,21 @@
 """Summaries, the chi-square two-sample test and growth-slope fits.
 
 These are what the commands and the acceptance criteria run: ``simulate``
-reports :func:`summarize`, c06 and c11 compare integer counts with
-:func:`two_sample_test`, whose p-values ``verify`` holds to a level (split
-by :func:`bonferroni` over a family), and c10 fits log-n growth with
-:func:`regression_slope`.  The chi-square tail is in closed form, so the
-module needs numpy and the standard library only.
+reports the mean and standard error of :func:`summarize`, c06 and c11
+compare integer counts with :func:`two_sample_test`, whose p-values
+``verify`` alone holds to a level, and c10 fits log-n growth with
+:func:`regression_slope`.  Each returns numbers, never a verdict.  The
+chi-square tail is in closed form, so the module needs numpy and the
+standard library only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ExperimentSummary:
-    """One reproducible Monte Carlo estimate with its standard error."""
-
-    estimator: str
-    value: float
-    std_error: float | None
-    replicates: int
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -40,24 +26,12 @@ class TestResult:
     pvalue: float
 
 
-def summarize(
-    values: np.ndarray,
-    estimator: str,
-    seed: int,
-    params: Mapping | None = None,
-) -> ExperimentSummary:
-    """Summary of already-sampled replicate values (mean, SE of the mean)."""
+def summarize(values: np.ndarray) -> tuple[float, float | None]:
+    """Mean of replicate values and its standard error (None below 2 values)."""
     values = np.asarray(values, dtype=float)
     n = values.size
     se = float(values.std(ddof=1) / math.sqrt(n)) if n >= 2 else None
-    return ExperimentSummary(
-        estimator=estimator,
-        value=float(values.mean()),
-        std_error=se,
-        replicates=int(n),
-        seed=int(seed),
-        params=dict(params or {}),
-    )
+    return float(values.mean()), se
 
 
 def _is_integer_valued(a: np.ndarray) -> bool:
@@ -163,9 +137,3 @@ def regression_slope(pairs: Sequence[tuple[float, float]]) -> float:
         raise ValueError("grid must span at least two decades")
     return float(np.polyfit(xs, ys, 1)[0])
 
-
-def bonferroni(significance: float, num_tests: int) -> float:
-    """Per-test significance keeping the family-wise level at ``significance``."""
-    if num_tests < 1:
-        raise ValueError("num_tests must be >= 1")
-    return significance / num_tests

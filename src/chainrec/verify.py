@@ -2,10 +2,11 @@
 
 Each criterion compares one computational route against an independent
 oracle -- a closed form, the exact rational engine, or another simulator
-of the same law -- and reports {value, target, tolerance, pass}.  Whether
-it passes is decided here alone, by the key's default and kind in
-:data:`TOLERANCES`; the chi-square tests of :mod:`chainrec.stats` give
-p-values, not verdicts.
+of the same law -- and returns its measurements, one ``(key, name,
+oracle, statistic)`` per tolerance key.  :func:`run_suite` alone turns a
+measurement into {value, target, tolerance, pass}, by the key's kind and
+default in :data:`TOLERANCES`; the chi-square tests of
+:mod:`chainrec.stats` give p-values, not verdicts.
 """
 
 from __future__ import annotations
@@ -73,25 +74,23 @@ TOLERANCES = {
 }
 
 
-def _tolerance(overrides, key):
-    return float(overrides.get(key, TOLERANCES[key][1]))
+def _judge(measurement, overrides):
+    """The result of a ``(key, name, oracle, statistic)`` by the key's rule in :data:`TOLERANCES`.
 
-
-def _bounded(key, name, oracle, value, overrides):
-    """A result with target 0 that passes iff ``value`` is at most the key's tolerance."""
-    tolerance = _tolerance(overrides, key)
-    return CriterionResult(key, name, oracle, value, 0.0, tolerance, value <= tolerance)
-
-
-def _significant(key, name, oracle, pvalues, overrides):
-    """A result that passes iff the least of ``pvalues`` reaches level/k, k = len(pvalues).
-
-    Bonferroni: k tests at level/k each hold the family at the key's level.
+    A bound passes iff the statistic is at most the tolerance.  A level's
+    statistic is k p-values, which pass iff the least reaches level/k
+    (Bonferroni: k tests at level/k each hold the family at the level).
     """
-    alpha = stats.bonferroni(_tolerance(overrides, key), len(pvalues))
-    if len(pvalues) > 1:
+    key, name, oracle, statistic = measurement
+    kind, default = TOLERANCES[key]
+    tolerance = float(overrides.get(key, default))
+    if kind == "bound":
+        return CriterionResult(key, name, oracle, statistic, 0.0, tolerance,
+                               statistic <= tolerance)
+    alpha = tolerance / len(statistic)
+    if len(statistic) > 1:
         oracle += f"; pass iff min p-value >= {alpha:.2e}"
-    value = min(pvalues)
+    value = min(statistic)
     return CriterionResult(key, name, oracle, value, alpha, alpha, value >= alpha)
 
 
@@ -107,7 +106,7 @@ def _z_score(sample_mean, target, sample_sd, n):
 # exact suite
 
 
-def c01_closed_forms(seed, overrides, workers=1):
+def c01_closed_forms(seed, workers=1):
     """Chain probabilities equal 1/n at d=1 and 1/(2n) at d=2, n=2..200."""
     mismatches = 0
     table1 = exact.chain_record_prob_table(1, 200)
@@ -118,17 +117,16 @@ def c01_closed_forms(seed, overrides, workers=1):
         if table2[n - 1] != Fraction(1, 2 * n):
             mismatches += 1
     return [
-        _bounded(
+        (
             "c01",
             "exact chain probabilities match the low-dimension closed forms",
             "closed forms 1/n (d=1) and 1/(2n) (d=2), exact rational equality",
             mismatches,
-            overrides,
         )
     ]
 
 
-def c02_second_index(seed, overrides, workers=1):
+def c02_second_index(seed, workers=1):
     """p_2 = 2^-d exactly for d<=6; Monte Carlo beat frequency at d=3."""
     mismatches = sum(
         1 for d in range(1, 7) if exact.chain_record_prob_table(d, 2)[1] != Fraction(1, 2**d)
@@ -142,18 +140,17 @@ def c02_second_index(seed, overrides, workers=1):
     z = _z_score(phat, 0.125, float(beats.std(ddof=1)), reps)
     value = z if mismatches == 0 else math.inf
     return [
-        _bounded(
+        (
             "c02",
             "second-index record probability is 2^-d, exactly and empirically",
             "exact equality for d=1..6 plus direct-sampling beat frequency at d=3 "
             f"({reps} replicates, z-units)",
             value,
-            overrides,
         )
     ]
 
 
-def c03_probability_ordering(seed, overrides, workers=1):
+def c03_probability_ordering(seed, workers=1):
     """strong <= chain <= weak probabilities, exact, n<=100 and d<=5."""
     violations = 0
     for d in range(1, 6):
@@ -163,17 +160,16 @@ def c03_probability_ordering(seed, overrides, workers=1):
             if not exact.strong_record_prob(d, n) <= chain[n - 1] <= weak[n - 1]:
                 violations += 1
     return [
-        _bounded(
+        (
             "c03",
             "record probabilities are ordered strong <= chain <= weak",
             "exact rational comparison for n <= 100, d <= 5",
             violations,
-            overrides,
         )
     ]
 
 
-def c04_poisson_mixture(seed, overrides, workers=1):
+def c04_poisson_mixture(seed, workers=1):
     """Moment function equals the Poisson-weighted exact probabilities."""
     worst = 0.0
     for d, t in product((1, 2, 3), (0.5, 1.0, 2.0, 5.0)):
@@ -181,12 +177,11 @@ def c04_poisson_mixture(seed, overrides, workers=1):
         rhs = exact.poisson_weighted_chain_prob(d, t)
         worst = max(worst, abs(lhs - rhs))
     return [
-        _bounded(
+        (
             "c04",
             "series moment function agrees with the Poisson mixture of exact probabilities",
             "two independent exact routes, max abs difference over d<=3, t in {0.5,1,2,5}",
             worst,
-            overrides,
         )
     ]
 
@@ -207,7 +202,7 @@ def _renewal_integral(d, beta, t):
     )
 
 
-def c05_renewal_equation(seed, overrides, workers=1):
+def c05_renewal_equation(seed, workers=1):
     """The moment function satisfies its renewal-type ODE."""
     worst = 0.0
     for d, beta, t in product((1, 2), (1, 2), (0.5, 1.0, 2.0)):
@@ -218,12 +213,11 @@ def c05_renewal_equation(seed, overrides, workers=1):
         m_t = exact.moment_series(d, beta, t)
         worst = max(worst, abs(deriv + m_t - _renewal_integral(d, beta, t)))
     return [
-        _bounded(
+        (
             "c05",
             "moment function satisfies its renewal-type differential equation",
             "central finite difference plus Gauss-Laguerre residual, beta<=2, d<=2, t in {0.5,1,2}",
             worst,
-            overrides,
         )
     ]
 
@@ -232,7 +226,7 @@ def c05_renewal_equation(seed, overrides, workers=1):
 # oracle suite
 
 
-def c06_three_simulators(seed, overrides, workers=1):
+def c06_three_simulators(seed, workers=1):
     """Direct, sojourn and insertion counts are pairwise indistinguishable."""
     reps = 100_000
     pairs = [("direct", "sojourn"), ("direct", "insertion"), ("sojourn", "insertion")]
@@ -246,17 +240,16 @@ def c06_three_simulators(seed, overrides, workers=1):
         }
         pvalues += [stats.two_sample_test(counts[m1], counts[m2]).pvalue for m1, m2 in pairs]
     return [
-        _significant(
+        (
             "c06",
             "three-simulator distributional agreement on the record count",
             f"pairwise chi-square over pooled bins, 18 tests, {reps} replicates each",
             pvalues,
-            overrides,
         )
     ]
 
 
-def c07_monte_carlo_vs_exact(seed, overrides, workers=1):
+def c07_monte_carlo_vs_exact(seed, workers=1):
     """Empirical record frequencies and count means match the exact engine."""
     reps = 100_000
     worst = 0.0
@@ -277,18 +270,17 @@ def c07_monte_carlo_vs_exact(seed, overrides, workers=1):
         target = float(exact.expected_chain_count(d, 100))
         worst = max(worst, _z_score(float(counts.mean()), target, float(counts.std(ddof=1)), reps))
     return [
-        _bounded(
+        (
             "c07",
             "direct-simulation frequencies and means match the exact engine",
             "exact per-index probabilities (n<=20, d<=3) and the exact expected count "
             f"at n=100, {reps} replicates, z-units",
             worst,
-            overrides,
         )
     ]
 
 
-def c08_limit_moments(seed, overrides, workers=1):
+def c08_limit_moments(seed, workers=1):
     """Sampled limit-variable moments match their exact closed forms."""
     reps = 1_000_000
     worst = 0.0
@@ -300,17 +292,16 @@ def c08_limit_moments(seed, overrides, workers=1):
             target = float(exact.limit_moment(d, beta))
             worst = max(worst, _z_score(float(data.mean()), target, float(data.std(ddof=1)), reps))
     return [
-        _bounded(
+        (
             "c08",
             "limit-variable moments match the exact moment formula",
             f"series sampler vs exact moments, beta<=2, d<=3, {reps} draws, z-units",
             worst,
-            overrides,
         )
     ]
 
 
-def c09_compensator(seed, overrides, workers=1):
+def c09_compensator(seed, workers=1):
     """Path integral of the paced height process compensates its jump count."""
     reps = 100_000
     counts, integrals, _ = samplers.sample_poisson_paced_terminals(
@@ -319,12 +310,11 @@ def c09_compensator(seed, overrides, workers=1):
     diff = integrals - counts
     z = _z_score(float(diff.mean()), 0.0, float(diff.std(ddof=1)), reps)
     return [
-        _bounded(
+        (
             "c09",
             "path integral compensates the jump count of the paced process",
             f"paired mean difference over {reps} paths at t=5, d=2, z-units",
             z,
-            overrides,
         )
     ]
 
@@ -333,7 +323,7 @@ def c09_compensator(seed, overrides, workers=1):
 # asymptotic suite
 
 
-def c10_growth_slopes(seed, overrides, workers=1):
+def c10_growth_slopes(seed, workers=1):
     """Count means and variances grow like log(n)/d and log(n)/d^2."""
     reps = 10_000
     horizons = (10**3, 10**4, 10**5, 10**6)
@@ -355,10 +345,10 @@ def c10_growth_slopes(seed, overrides, workers=1):
     oracle = ("least-squares slope over n in {1e3..1e6}, sojourn simulator, "
               f"{reps} replicates per point, relative error")
     return [
-        _bounded("c10-mean", "mean record count grows with slope 1/d in log n", oracle,
-                 worst_mean, overrides),
-        _bounded("c10-var", "count variance grows with slope 1/d^2 in log n", oracle,
-                 worst_var, overrides),
+        ("c10-mean", "mean record count grows with slope 1/d in log n", oracle,
+         worst_mean),
+        ("c10-var", "count variance grows with slope 1/d^2 in log n", oracle,
+         worst_var),
     ]
 
 
@@ -366,7 +356,7 @@ def c10_growth_slopes(seed, overrides, workers=1):
 # limit suite
 
 
-def c11_hyperbolic_invariance(seed, overrides, workers=1):
+def c11_hyperbolic_invariance(seed, workers=1):
     """Window counts of the limit process are invariant under (s,t)->(2s,t/2)."""
     reps = 10_000
     base = (0.25, 1.0, 4.0)
@@ -378,12 +368,11 @@ def c11_hyperbolic_invariance(seed, overrides, workers=1):
         2, image, reps, seed=seed, label="verify:c11:image", workers=workers
     )
     return [
-        _significant(
+        (
             "c11",
             "limit-process window counts are invariant under hyperbolic shifts",
             f"chi-square on counts in a window vs its (2s, t/2) image, {reps} draws each",
             [stats.two_sample_test(counts_a, counts_b).pvalue],
-            overrides,
         )
     ]
 
@@ -418,7 +407,7 @@ def _cli(args, cwd):
         raise ChildProcessError(f"chainrec {' '.join(args)} failed:\n{proc.stderr}")
 
 
-def c12_reproducibility(seed, overrides, workers=1):
+def c12_reproducibility(seed, workers=1):
     """Repeated CLI runs with one seed are byte-identical, any worker count.
 
     Each of the six runs is a separate ``python -m chainrec`` process that
@@ -464,12 +453,11 @@ def c12_reproducibility(seed, overrides, workers=1):
             if blobs[0] != blobs[1]:
                 mismatches += 1
     return [
-        _bounded(
+        (
             "c12",
             "identical seeds give byte-identical outputs under any worker count",
             "CLI reruns of simulate/exact/limits compared byte for byte",
             mismatches,
-            overrides,
         )
     ]
 
@@ -509,9 +497,12 @@ def run_suite(
     workers: int = 1,
     report=None,
 ) -> list[CriterionResult]:
-    """Run one named suite; ``report`` (if given) receives progress lines."""
+    """Run and judge one named suite; ``report`` (if given) receives progress lines."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    # c01-c05 start no sampler, whose driver would reject the count itself
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     # every override is checked, whether or not the suite reads it
     for key, value in (overrides or {}).items():
         if key not in TOLERANCES:
@@ -525,7 +516,8 @@ def run_suite(
             raise ValueError(f"tolerance {key} must be at least 0, got {value!r}")
     results: list[CriterionResult] = []
     for cid in SUITES[suite]:
-        for res in CRITERIA[cid](seed, overrides or {}, workers):
+        for measurement in CRITERIA[cid](seed, workers):
+            res = _judge(measurement, overrides or {})
             results.append(res)
             if report is not None:
                 status = "PASS" if res.passed else "FAIL"

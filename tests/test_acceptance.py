@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 import scipy.integrate
 
-from chainrec import exact, verify
+from chainrec import exact, samplers, verify
 from chainrec.cli import main
 from oracles import height_factor_density
 
@@ -21,9 +21,14 @@ CRITERIA = list(verify.CRITERIA)
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _judged(criterion, overrides=None):
+    """The measurements of ``criterion`` at ``DEFAULT_SEED``, judged as ``run_suite`` does."""
+    return [verify._judge(m, overrides or {}) for m in criterion(verify.DEFAULT_SEED, 1)]
+
+
 @pytest.mark.parametrize("cid", CRITERIA)
 def test_criterion(cid, capsys):
-    results = verify.CRITERIA[cid](verify.DEFAULT_SEED, {}, 1)
+    results = _judged(verify.CRITERIA[cid])
     with capsys.disabled():
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -64,6 +69,19 @@ def test_suite_registry_covers_every_criterion():
     assert sorted(listed) == sorted(CRITERIA)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_suite_rejects_a_worker_count_below_one_before_any_criterion_runs(
+    workers, monkeypatch
+):
+    # c01-c05 start no sampler, whose driver would reject the count itself
+    def no_runs(*args):
+        raise AssertionError("ran a criterion before checking the worker count")
+
+    monkeypatch.setattr(verify, "CRITERIA", dict.fromkeys(verify.CRITERIA, no_runs))
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        verify.run_suite("exact", workers=workers)
+
+
 @pytest.mark.parametrize("tolerance", [None, 5.0])
 @pytest.mark.parametrize("cid", ["c01", "c03"])
 def test_exact_count_criteria_pass_iff_the_count_is_within_the_tolerance(
@@ -78,7 +96,7 @@ def test_exact_count_criteria_pass_iff_the_count_is_within_the_tolerance(
 
     monkeypatch.setattr(exact, "chain_record_prob_table", one_wrong_entry)
     overrides = {} if tolerance is None else {cid: tolerance}
-    [result] = verify.CRITERIA[cid](verify.DEFAULT_SEED, overrides)
+    [result] = _judged(verify.CRITERIA[cid], overrides)
     assert (result.value, result.tolerance) == (1.0, tolerance or 0.0)
     assert result.passed is (tolerance is not None)
 
@@ -92,8 +110,8 @@ def test_c12_passes_iff_the_mismatches_are_within_the_tolerance(monkeypatch):
             Path(out + suffix).write_text(text)
 
     monkeypatch.setattr(verify, "_cli", fake_cli)
-    [strict] = verify.c12_reproducibility(verify.DEFAULT_SEED, {})
-    [loose] = verify.c12_reproducibility(verify.DEFAULT_SEED, {"c12": 2.0})
+    [strict] = _judged(verify.c12_reproducibility)
+    [loose] = _judged(verify.c12_reproducibility, {"c12": 2.0})
     assert (strict.value, strict.passed) == (2.0, False)
     assert (loose.value, loose.tolerance, loose.passed) == (2.0, 2.0, True)
 
@@ -119,7 +137,38 @@ def test_c05_laguerre_integral_matches_adaptive_quadrature(d, beta, t):
 
 
 def test_c04_passes_when_its_tolerance_equals_its_value():
-    [result] = verify.c04_poisson_mixture(verify.DEFAULT_SEED, {})
+    [result] = _judged(verify.c04_poisson_mixture)
     assert result.value > 0.0
-    [at_value] = verify.c04_poisson_mixture(verify.DEFAULT_SEED, {"c04": result.value})
+    [at_value] = _judged(verify.c04_poisson_mixture, {"c04": result.value})
     assert (at_value.tolerance, at_value.passed) == (result.value, True)
+
+
+# a planted defect each Monte Carlo criterion must catch at DEFAULT_SEED
+
+
+def test_c11_fails_when_the_image_window_is_twice_as_long_in_time(monkeypatch):
+    sample = samplers.sample_window_counts
+
+    def stretched(d, window, replicates, *, label, **kwargs):
+        if label == "verify:c11:image":
+            s_lo, s_hi, t_hi = window
+            window = (s_lo, s_hi, 2 * t_hi)
+        return sample(d, window, replicates, label=label, **kwargs)
+
+    monkeypatch.setattr(samplers, "sample_window_counts", stretched)
+    [result] = _judged(verify.c11_hyperbolic_invariance)
+    assert not result.passed
+    assert result.value < 1e-30, result.value
+
+
+def test_c09_fails_when_the_path_integrals_are_two_percent_large(monkeypatch):
+    chunk = samplers._poisson_paced_chunk
+
+    def inflated(*args):
+        counts, integrals, states = chunk(*args)
+        return counts, integrals * 1.02, states
+
+    monkeypatch.setattr(samplers, "_poisson_paced_chunk", inflated)
+    [result] = _judged(verify.c09_compensator)
+    assert not result.passed
+    assert result.value > 2 * result.tolerance, result.value

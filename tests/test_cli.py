@@ -470,9 +470,23 @@ def test_limits_window_csv(tmp_path):
 
 
 def test_limits_bad_window(capsys):
-    assert main(["limits", "--kind", "window", "--d", "2", "--window", "nope",
-                 "--seed", "1"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["limits", "--kind", "window", "--d", "2", "--window", "nope", "--seed", "1"])
+    assert exc.value.code == 2
     assert "--window" in capsys.readouterr().err
+
+
+def test_each_spelling_of_a_window_writes_the_same_bytes(tmp_path):
+    def run(window):
+        out = tmp_path / "w.csv"
+        assert main(["limits", "--kind", "window", "--d", "2", "--window", window,
+                     "--seed", "1", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    plain = run("0.05,3.0,10.0")
+    assert b" window=0.05,3.0,10.0\n" in plain
+    for spelling in ("0.05,3,10", "0.05, 3.0, 10.0", ".05,3.,1e1"):
+        assert run(spelling) == plain, spelling
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +630,13 @@ def test_an_override_the_suite_does_not_read_is_checked_but_not_recorded(tmp_pat
          ("workers", "-2"), "argument --workers: expected an integer of at least 1, got '-2'"),
         (["verify", "--suite", "exact"], ("workers", "0"),
          "argument --workers: expected an integer of at least 1, got '0'"),
+        (["limits", "--kind", "window", "--d", "2", "--seed", "1"], ("window", "1,2"),
+         "argument --window: expected s_lo,s_hi,t_hi, got '1,2'"),
+        (["limits", "--kind", "window", "--d", "2", "--seed", "1"], ("window", "a,b,c"),
+         "argument --window: expected s_lo,s_hi,t_hi, got 'a,b,c'"),
     ],
     ids=["d", "method", "tolerance", "tolerance-without-value", "simulate-workers",
-         "limits-workers", "verify-workers"],
+         "limits-workers", "verify-workers", "window-of-two-values", "window-not-numeric"],
 )
 def test_a_bad_value_is_a_usage_error_from_a_flag_or_a_config_line(
     tmp_path, monkeypatch, capsys, source, argv, option, message

@@ -3,6 +3,7 @@
 import math
 from collections import namedtuple
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -177,6 +178,12 @@ def test_classify_rejects_empty_and_mixed_dims(tmp_path):
         _read_marks_csv(str(empty))
     with pytest.raises(ValueError):
         RecordDetector(2).extend([(0.1, 0.2), (0.1, 0.2, 0.3)])
+    # an array of the wrong width is scanned too, so the error names its first row
+    det = RecordDetector(2)
+    det.process((0.5, 0.5))
+    with pytest.raises(ValueError, match="dimension mismatch at index 2: got 3, expected 2"):
+        det.extend(np.full((4, 3), 0.25))
+    assert det.index == 1 and det.pareto_front == ((0.5, 0.5),)
 
 
 def test_ragged_input_names_the_first_bad_index():

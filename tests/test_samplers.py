@@ -69,15 +69,17 @@ def test_batch_counts_independent_of_worker_count(monkeypatch):
 
 BATCH_DRIVERS = {
     **{
-        f"chain-counts-{method}": lambda r, method=method: sample_chain_counts(
-            method, 2, 10, r, seed=SEED)
+        f"chain-counts-{method}": lambda r, method=method, **run: sample_chain_counts(
+            method, 2, 10, r, seed=SEED, **run)
         for method in ("direct", "sojourn", "insertion")
     },
-    "chain-flag-totals": lambda r: samplers.sample_chain_flag_totals(2, 10, r, seed=SEED),
-    "renewal-counts": lambda r: sample_renewal_counts(2, 10, r, seed=SEED),
-    "poisson-paced": lambda r: sample_poisson_paced_terminals(2, 1.0, r, seed=SEED),
-    "limit-variables": lambda r: sample_limit_variables(2, r, seed=SEED),
-    "window-counts": lambda r: sample_window_counts(2, (0.25, 1.0, 4.0), r, seed=SEED),
+    "chain-flag-totals": lambda r, **run: samplers.sample_chain_flag_totals(
+        2, 10, r, seed=SEED, **run),
+    "renewal-counts": lambda r, **run: sample_renewal_counts(2, 10, r, seed=SEED, **run),
+    "poisson-paced": lambda r, **run: sample_poisson_paced_terminals(2, 1.0, r, seed=SEED, **run),
+    "limit-variables": lambda r, **run: sample_limit_variables(2, r, seed=SEED, **run),
+    "window-counts": lambda r, **run: sample_window_counts(
+        2, (0.25, 1.0, 4.0), r, seed=SEED, **run),
 }
 
 
@@ -86,6 +88,13 @@ BATCH_DRIVERS = {
 def test_batch_drivers_reject_nonpositive_replicates(driver, replicates):
     with pytest.raises(ValueError, match="replicates must be >= 1"):
         BATCH_DRIVERS[driver](replicates)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("driver", sorted(BATCH_DRIVERS))
+def test_batch_drivers_reject_a_worker_count_below_one(driver, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        BATCH_DRIVERS[driver](5, workers=workers)
 
 
 def test_chunk_rule_caps_a_chunk_at_the_double_budget():

@@ -28,6 +28,13 @@ factor column drawn the first time a row needs it.  So a chunk holds one
 tile and its factor columns, never its (m, n) uniform block: 4 MB at
 m = 8192.
 
+The limit-variable, sojourn and window kernels keep an index array of the
+rows still active.  After their first full-width draws, each step draws
+only for those rows: in the limit-variable kernel one height-factor row
+and one exponential each, so ``depth.sum()`` height-factor rows in all; in
+the sojourn kernel one uniform each, then a height-factor row for each row
+whose sojourn landed.  At m=1 each draws what a lone replicate draws.
+
 Scalar functions take a generator from :func:`chainrec.rng.make_stream`
 and are pure given that stream.  Every batch result -- the ``sample_*``
 functions -- comes from one driver, :func:`_run_chunked`: chunk i of a
@@ -291,25 +298,34 @@ def _direct_counts_chunk(gen, d, n, m):
 
 
 def _sojourn_counts_chunk(gen, d, n, m):
-    counts = np.ones(m, dtype=np.int64)
+    """The sojourn kernel: chain-record counts of m replicates, O(log(n)/d) steps.
+
+    Draw order: the first height column for all m rows, then per step one
+    uniform for each row still active and one height-factor row for each
+    row whose sojourn landed within n.  ``rows``, ``t`` and ``log_h`` hold
+    the active rows only, so a step costs what its active rows cost.  At
+    m=1 this draws exactly what :func:`simulate_sojourn` draws.
+    """
+    counts = np.empty(m, dtype=np.int64)
+    rows = np.arange(m)
     t = np.ones(m, dtype=np.int64)
     log_h = _log_sum_rows(gen.random((m, d)))
-    active = np.ones(m, dtype=bool)
     beyond = float(n + 1)
-    while active.any():
-        h = np.exp(log_h)
-        v = gen.random(m)
+    records = 1
+    while True:
+        v = gen.random(rows.size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.ceil(np.log1p(-v) / np.log1p(-h))
+            gap = np.ceil(np.log1p(-v) / np.log1p(-np.exp(log_h)))
         gap = np.where(np.isfinite(gap), gap, beyond)
-        gap = np.minimum(np.maximum(gap, 1.0), beyond).astype(np.int64)
-        t_new = t + gap
-        landed = active & (t_new <= n)
-        counts[landed] += 1
-        t = np.where(active, t_new, t)
-        active = landed
-        log_h += _log_sum_rows(gen.random((m, d)))
-    return counts
+        t = t + np.minimum(np.maximum(gap, 1.0), beyond).astype(np.int64)
+        landed = np.flatnonzero(t <= n)
+        counts[rows[np.flatnonzero(t > n)]] = records
+        rows = rows[landed]
+        if not rows.size:
+            return counts
+        records += 1
+        t = t[landed]
+        log_h = log_h[landed] + _log_sum_rows(gen.random((rows.size, d)))
 
 
 def _insertion_counts_chunk(gen, d, n, m):
@@ -390,19 +406,32 @@ def _limit_variable_chunk(gen, d, tolerance, m):
     log is Gamma(k, 1) with k uniform on {1..d}, the equilibrium law of the
     height stick-breaking chain.  The series stops once the expected
     remainder P_k/(2^d - 1) drops below ``tolerance``.
+
+    Draw order: the shapes, stationary factors and first exponentials for
+    all m rows, then per step one height-factor row and one exponential for
+    each row still active.  ``rows``, ``p`` and ``y_rows`` hold the active
+    rows only, so the kernel draws ``depth.sum()`` height-factor rows in
+    all, and at m=1 it draws what a lone series draws.
     """
     tail_ratio = 1.0 / (2**d - 1)
     shapes = gen.integers(1, d + 1, size=m)
-    p = np.exp(-gen.gamma(shapes))
-    y = gen.exponential(size=m) * p
+    p = np.exp(-gen.standard_gamma(shapes))
+    y = gen.standard_exponential(m) * p
     depth = np.zeros(m, dtype=np.int64)
-    active = p * tail_ratio >= tolerance
-    while active.any():
-        p = p * _height_factor_column(gen, d, m)
-        e = gen.exponential(size=m)
-        np.add(y, e * p, out=y, where=active)
-        depth += active
-        active &= p * tail_ratio >= tolerance
+    rows = np.flatnonzero(p * tail_ratio >= tolerance)
+    p, y_rows = p[rows], y[rows]
+    step = 0
+    while rows.size:
+        step += 1
+        p = p * _height_factor_column(gen, d, rows.size)
+        y_rows = y_rows + gen.standard_exponential(rows.size) * p
+        going = p * tail_ratio < tolerance
+        if going.any():
+            # integer indices: a boolean mask index is several times slower
+            gone, stay = np.flatnonzero(going), np.flatnonzero(~going)
+            y[rows[gone]] = y_rows[gone]
+            depth[rows[gone]] = step
+            rows, p, y_rows = rows[stay], p[stay], y_rows[stay]
     return y, depth
 
 

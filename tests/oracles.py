@@ -7,6 +7,7 @@ run by a ``chainrec`` command or criterion, so they live with the tests.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -181,3 +182,32 @@ def limit_process_points(rng, d: int, window, truncation_tol: float = 1e-9):
         if xi <= s_hi and sigma <= t_hi:
             points.append((xi, sigma))
     return points
+
+
+def limit_cdf(d: int, y: float) -> float:
+    """CDF of the limit variable Y at y > 0, by Gil-Pelaez inversion.
+
+    Y = E * W in law, with E ~ Exp(1) independent of W on [0, 1] and
+    E[W^s] = prod_{j=1..d-1} Gamma(1+s) Gamma(1-w_j) / Gamma(1+s-w_j) over
+    the d-th roots of unity w_j other than 1; these moments are
+    ``exact.limit_moment(d, beta)``.  So E[Y^(iu)] is a product of complex
+    Gamma values, and with X = log Y,
+    F(y) = 1/2 - (1/pi) * int_0^inf Im(exp(-iu log y) E[Y^(iu)]) / u du.
+    The integrand decays like exp(-pi u / 2), so the integral stops at u = 60.
+    """
+    from scipy.integrate import quad
+    from scipy.special import loggamma
+
+    if d < 1 or not y > 0:
+        raise ValueError("need d >= 1 and y > 0")
+    roots = [cmath.exp(2j * math.pi * j / d) for j in range(1, d)]
+    x = math.log(y)
+
+    def integrand(u):
+        s = 1j * u
+        log_phi = loggamma(1 + s) + sum(
+            loggamma(1 + s) + loggamma(1 - w) - loggamma(1 + s - w) for w in roots)
+        return cmath.exp(complex(log_phi) - 1j * u * x).imag / u
+
+    value, _ = quad(integrand, 0.0, 60.0, limit=400, epsabs=1e-13, epsrel=1e-12)
+    return 0.5 - value / math.pi

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from chainrec import exact, samplers, stats
@@ -23,6 +24,7 @@ from oracles import (
     chain_record_indices,
     expected_weak_count_table,
     height_factor_cdf,
+    limit_cdf,
     limit_process_points,
     log_transform,
     mellin,
@@ -476,19 +478,88 @@ class DrawSizes:
         self.gen = gen
         self.sizes = []
 
+    def _record(self, name, out):
+        self.sizes.append(np.size(out))
+
     def __getattr__(self, name):
         def draw(*args, **kwargs):
             out = getattr(self.gen, name)(*args, **kwargs)
-            self.sizes.append(np.size(out))
+            self._record(name, out)
             return out
 
         return draw
+
+
+class RecordedDraws(DrawSizes):
+    """Generator proxy that also keeps each draw: its method name and a copy of its array."""
+
+    def __init__(self, gen):
+        super().__init__(gen)
+        self.draws = []
+
+    def _record(self, name, out):
+        super()._record(name, out)
+        self.draws.append((name, np.array(out)))
 
 
 def test_insertion_kernel_draws_at_most_one_tile_at_a_time():
     gen = DrawSizes(make_stream(SEED, 73))
     samplers._insertion_counts_chunk(gen, 2, 1000, 8192)
     assert max(gen.sizes) <= samplers._TILE * 8192
+
+
+def _sojourn_rows(draws, d, n, m):
+    """The sojourn kernel's counts, replayed from its recorded draws one row at a time.
+
+    ``draws`` are the first height factors of all m rows, then per step a
+    uniform for each active row and a height-factor row for each row whose
+    sojourn landed within n; each draw's entries go to the active rows in
+    row order, so every draw must have as many rows as are active.
+    """
+    (name, first), *steps = draws
+    assert name == "random" and first.shape == (m, d)
+    log_h = [np.log(f).sum() for f in first]
+    t = [1] * m
+    counts = [1] * m
+    active = list(range(m))
+    for i, (name, values) in enumerate(steps):
+        assert name == "random" and len(values) == len(active), i
+        if i % 2:  # a height-factor row for each row that landed
+            assert values.shape == (len(active), d)
+            for r, f in zip(active, values):
+                log_h[r] = log_h[r] + np.log(f).sum()
+            continue
+        landed = []
+        for r, v in zip(active, values):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gap = np.ceil(np.log1p(-v) / np.log1p(-np.exp(log_h[r])))
+            if np.isfinite(gap) and t[r] + max(int(gap), 1) <= n:
+                t[r] += max(int(gap), 1)
+                counts[r] += 1
+                landed.append(r)
+        active = landed
+    assert not active
+    return counts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 10**5])
+@pytest.mark.parametrize("m", [1, 30])
+def test_sojourn_kernel_draws_only_for_its_active_rows(d, n, m):
+    for key in range(3):
+        gen = RecordedDraws(make_stream(SEED, 77, key))
+        counts = samplers._sojourn_counts_chunk(gen, d, n, m)
+        assert counts.tolist() == _sojourn_rows(gen.draws, d, n, m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sojourn_kernel_at_one_replicate_draws_what_the_scalar_trace_draws(d):
+    for key in range(20):
+        kernel, loop = RecordedDraws(make_stream(SEED, 78, key)), RecordedDraws(make_stream(SEED, 78, key))
+        samplers._sojourn_counts_chunk(kernel, d, 10**5, 1)
+        simulate_sojourn(loop, d, 10**5)
+        assert [v.ravel().tolist() for _, v in kernel.draws] == [
+            np.ravel(v).tolist() for _, v in loop.draws]
 
 
 def test_insertion_single_mark():
@@ -645,7 +716,7 @@ class UnitExponentials:
     def __getattr__(self, name):
         return getattr(self.gen, name)
 
-    def exponential(self, size):
+    def standard_exponential(self, size):
         return np.ones(size)
 
 
@@ -702,6 +773,84 @@ def test_limit_variable_alternative_sampler_dimension_two():
     alt = gen.exponential(size=50000) * gen.random(50000)
     res = scipy.stats.ks_2samp(values, alt)
     assert res.pvalue >= 0.01, res
+
+
+def _limit_rows(draws, d, tolerance, m):
+    """The limit kernel's values and depths, replayed from its recorded draws one row at a time.
+
+    ``draws`` are the shapes, stationary factors and first exponentials of
+    all m rows, then per step a height-factor row and an exponential for
+    each row still active; each draw's entries go to the active rows in row
+    order, so every draw must have as many rows as are active.
+    """
+    tail_ratio = 1.0 / (2**d - 1)
+    names = [name for name, _ in draws]
+    assert names[:3] == ["integers", "standard_gamma", "standard_exponential"]
+    assert names[3:] == ["random", "standard_exponential"] * ((len(draws) - 3) // 2)
+    (_, _), (_, stationary), (_, first), *steps = draws
+    p = [np.exp(-g) for g in stationary]
+    y = [e * pr for e, pr in zip(first, p)]
+    depth = [0] * m
+    active = [r for r in range(m) if p[r] * tail_ratio >= tolerance]
+    for (_, factors), (_, exponentials) in zip(steps[::2], steps[1::2]):
+        assert factors.shape == (len(active), d) and len(exponentials) == len(active)
+        for r, f, e in zip(active, factors, exponentials):
+            p[r] = p[r] * np.exp(np.log(f).sum())
+            y[r] = y[r] + e * p[r]
+            depth[r] += 1
+        active = [r for r in active if p[r] * tail_ratio >= tolerance]
+    assert not active
+    return y, depth
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("tolerance", [1e-6, 2.0])
+@pytest.mark.parametrize("m", [1, 30])
+def test_limit_kernel_draws_only_for_its_active_rows(d, tolerance, m):
+    for key in range(3):
+        gen = RecordedDraws(make_stream(SEED, 96, key))
+        values, depth = samplers._limit_variable_chunk(gen, d, tolerance, m)
+        y, steps = _limit_rows(gen.draws, d, tolerance, m)
+        assert values.tolist() == y and depth.tolist() == steps
+        assert sum(len(f) for name, f in gen.draws if name == "random") == depth.sum()
+
+
+_LAW_PROBABILITIES = (1e-3, 3e-3, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                      0.9, 0.95, 0.99)
+
+
+def _limit_law_worst_z(d, tolerance, draws=400_000):
+    """Worst z of the sampled limit variable's CDF against ``limit_cdf``.
+
+    The empirical CDF is read at the sample quantiles of
+    ``_LAW_PROBABILITIES``, from 0.1% up, so that a truncation bias at small
+    values shows.
+    """
+    values, _ = sample_limit_variables(d, draws, tolerance=tolerance, seed=SEED,
+                                       label=f"test:limit-law:d={d}")
+    values.sort()
+    at = values[(np.array(_LAW_PROBABILITIES) * draws).astype(int)]
+    empirical = np.searchsorted(values, at, side="right") / draws
+    exact_cdf = np.array([limit_cdf(d, float(y)) for y in at])
+    return float(np.max(np.abs(empirical - exact_cdf) / np.sqrt(exact_cdf * (1 - exact_cdf) / draws)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_limit_variable_matches_its_exact_law(d):
+    assert _limit_law_worst_z(d, 1e-6) < 4
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_limit_law_check_catches_a_loose_tolerance(d):
+    # the stop rule P_k/(2^d - 1) < tolerance biases small values most
+    assert _limit_law_worst_z(d, 1e-3) >= 4
+
+
+def test_limit_cdf_matches_the_closed_forms_at_low_dimension():
+    for y in (1e-4, 0.01, 0.5, 2.0, 10.0):
+        assert limit_cdf(1, y) == pytest.approx(-math.expm1(-y), abs=1e-12)
+        assert limit_cdf(2, y) == pytest.approx(
+            -math.expm1(-y) + y * scipy.special.exp1(y), abs=1e-12)
 
 
 def _one_limit_variable(gen, d, tolerance):

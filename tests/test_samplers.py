@@ -99,12 +99,6 @@ def test_batch_drivers_reject_a_worker_count_below_one(driver, workers):
         BATCH_DRIVERS[driver](5, workers=workers)
 
 
-def test_chunk_rule_caps_a_chunk_at_the_double_budget():
-    assert samplers._chunk() == samplers._CHUNK
-    assert samplers._chunk(10_000) == samplers._CHUNK_BUDGET // 10_000 < samplers._CHUNK
-    assert samplers._chunk(samplers._CHUNK_BUDGET + 1) == 1
-
-
 @pytest.mark.parametrize("method", ["direct", "sojourn", "insertion"])
 def test_chain_counts_reject_an_empty_horizon(method):
     with pytest.raises(ValueError, match="n >= 1"):
@@ -318,6 +312,25 @@ def test_sojourn_kernel_at_one_replicate_counts_the_scalar_trace(d):
         assert count.tolist() == [simulate_sojourn(make_stream(SEED, 48, i), d, n).count], i
 
 
+@pytest.mark.parametrize("n", [6 * 10**18, 2**63 - 1024])
+def test_sojourn_kernel_counts_horizons_past_2_to_the_62(n):
+    # t + gap passes 2^63 here unless each gap is capped at the room left, n + 1 - t
+    kernel = sample_chain_counts("sojourn", 2, n, 2000, seed=SEED, label="test:sojourn:huge")
+    gen = make_stream(SEED, 49)
+    loop = [simulate_sojourn(gen, 2, n).count for _ in range(2000)]
+    res = stats.two_sample_test(kernel, np.array(loop))
+    assert res.pvalue >= 0.001, res
+
+
+def test_sojourn_kernel_rejects_a_horizon_past_its_largest():
+    start = time.perf_counter()
+    samplers._sojourn_counts_chunk(make_stream(SEED, 50), 2, 2**63 - 1024, 1000)
+    assert time.perf_counter() - start < 5
+    for n in (2**63 - 1023, 2**63 - 1, 2**64):
+        with pytest.raises(ValueError, match=r"n = 2\^63 - 1024 = 9223372036854774784"):
+            sample_chain_counts("sojourn", 2, n, 10, seed=SEED)
+
+
 def test_sojourn_single_mark():
     tr = simulate_sojourn(make_stream(SEED, 40), 2, 1)
     assert tr.record_times == (1,)
@@ -502,10 +515,30 @@ class RecordedDraws(DrawSizes):
         self.draws.append((name, np.array(out)))
 
 
+# The batch driver cuts every law into chunks of ``_CHUNK`` replicates and
+# leaves memory to the kernels: at one full chunk, no kernel draws a block
+# that grows with n.
+
+
 def test_insertion_kernel_draws_at_most_one_tile_at_a_time():
     gen = DrawSizes(make_stream(SEED, 73))
-    samplers._insertion_counts_chunk(gen, 2, 1000, 8192)
-    assert max(gen.sizes) <= samplers._TILE * 8192
+    samplers._insertion_counts_chunk(gen, 2, 10_000, samplers._CHUNK)
+    assert max(gen.sizes) <= samplers._TILE * samplers._CHUNK
+
+
+def test_direct_kernel_draws_at_most_one_sub_block_at_a_time():
+    gen = DrawSizes(make_stream(SEED, 74))
+    samplers._direct_counts_chunk(gen, 3, 4096, samplers._CHUNK)
+    assert max(gen.sizes) <= samplers._SUB_BLOCK
+
+
+@pytest.mark.parametrize("window", [(0.25, 1.0, 4.0), (0.5, 2.0, 2.0)])
+def test_window_kernel_draws_one_value_per_active_row_at_a_time(window):
+    # c11's base and image windows; the kernel keeps three entries per exponential drawn
+    gen = DrawSizes(make_stream(SEED, 75))
+    samplers._window_points_chunk(gen, 2, window, 1e-9, samplers._CHUNK)
+    assert max(gen.sizes) <= samplers._CHUNK
+    assert sum(gen.sizes) <= 32 * samplers._CHUNK  # about 24 per row
 
 
 def _sojourn_rows(draws, d, n, m):

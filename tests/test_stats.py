@@ -5,6 +5,7 @@ through ``summarize``, as the ``simulate`` command does.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ SEED = 424242
 def _scalar_draws(draw, replicates, label, workers=1, seed=SEED):
     """``draw(gen)`` once per replicate, replicate i on substream i of ``label``."""
     chunk = lambda gen, m: np.array([draw(gen) for _ in range(m)], dtype=float)
-    return _run_chunked(chunk, replicates, seed, label, 1, workers)
+    with mock.patch.object(samplers, "_CHUNK", 1):
+        return _run_chunked(chunk, replicates, seed, label, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +56,9 @@ def test_estimate_is_deterministic_and_worker_invariant():
 
 @pytest.mark.parametrize("chunk_size", [1, 3])
 @pytest.mark.parametrize("workers", [1, 3])
-def test_run_chunked_chunk_i_draws_substream_i(chunk_size, workers):
-    values = _run_chunked(lambda gen, m: gen.random(m), 7, SEED, "test:layout", chunk_size, workers)
+def test_run_chunked_chunk_i_draws_substream_i(chunk_size, workers, monkeypatch):
+    monkeypatch.setattr(samplers, "_CHUNK", chunk_size)
+    values = _run_chunked(lambda gen, m: gen.random(m), 7, SEED, "test:layout", workers)
     sid = stream_id("test:layout")
     sizes = [chunk_size] * (7 // chunk_size) + [7 % chunk_size] * bool(7 % chunk_size)
     expected = np.concatenate([make_stream(SEED, sid, i).random(m) for i, m in enumerate(sizes)])

@@ -24,8 +24,8 @@ an unknown suite) or a failed criterion; 2 a usage error.
 
 Only the standard library and :mod:`chainrec.exact` load with this module;
 each command loads the numeric layers it runs (numpy, ``records``,
-``samplers``, ``stats``, ``verify``) when it starts, so ``--version``,
-``--help`` and ``exact`` never load numpy.
+``samplers``, ``stats``, ``verify``, and ``_floatrepr`` for ``limits``)
+when it starts, so ``--version``, ``--help`` and ``exact`` never load numpy.
 """
 
 from __future__ import annotations
@@ -362,12 +362,15 @@ _LINES_PER_WRITE = 1 << 16
 def _value_lines(header: str, values):
     """``header`` and one ``repr`` per value, a line each, in blocks of lines.
 
-    The text equals one join of all the lines; only one block of strings
-    is alive at a time.
+    The text equals one join of all the lines; only one block of text is
+    alive at a time.  Each block is formatted by array operations, which
+    write exactly the bytes of ``repr`` (see :mod:`chainrec._floatrepr`).
     """
+    from chainrec._floatrepr import repr_lines
+
     yield header + "\n"
     for lo in range(0, len(values), _LINES_PER_WRITE):
-        yield "\n".join(map(repr, values[lo : lo + _LINES_PER_WRITE].tolist())) + "\n"
+        yield repr_lines(values[lo : lo + _LINES_PER_WRITE])
 
 
 # each kind's required option and its default truncation tolerance

@@ -37,6 +37,11 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
 
 
+def _check_time(t: float) -> None:
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+
+
 def _check_n(n: int, n_cap: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"index must be a positive integer, got {n!r}")
@@ -116,8 +121,7 @@ def moment_series(d: int, beta: int, t: float) -> float:
     _check_dim(d)
     if not isinstance(beta, int) or beta < 1:
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     if t == 0:
         return 1.0
     digits = int(t / math.log(10)) + int(-math.log10(_MOMENT_TOL)) + 21
@@ -152,8 +156,7 @@ def poisson_weighted_chain_prob(d: int, t: float) -> float:
     1e-12.
     """
     _check_dim(d)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     weight = math.exp(-t)
     weights = [weight]
     cum = weight

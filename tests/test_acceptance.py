@@ -172,3 +172,31 @@ def test_c09_fails_when_the_path_integrals_are_two_percent_large(monkeypatch):
     [result] = _judged(verify.c09_compensator)
     assert not result.passed
     assert result.value > 2 * result.tolerance, result.value
+
+
+def test_c08_fails_when_the_limit_series_stops_at_a_tolerance_of_one_percent(monkeypatch):
+    # the clean sampler reads 0.68 at DEFAULT_SEED, this defect 5.75 (bound 4)
+    chunk = samplers._limit_variable_chunk
+
+    def truncated(gen, d, tolerance, m):
+        return chunk(gen, d, 1e-2, m)
+
+    monkeypatch.setattr(samplers, "_limit_variable_chunk", truncated)
+    [result] = _judged(verify.c08_limit_moments)
+    assert not result.passed
+    assert result.value > result.tolerance, result.value
+
+
+def test_c10_fails_when_the_sojourn_heights_have_one_factor_too_many(monkeypatch):
+    # clean: c10-mean 0.0025 and c10-var 0.028; this defect: 0.50 and 0.75
+    chunk = samplers._sojourn_counts_chunk
+
+    def one_more_factor(gen, d, n, m):
+        return chunk(gen, d + 1, n, m)
+
+    monkeypatch.setattr(samplers, "_sojourn_counts_chunk", one_more_factor)
+    results = _judged(verify.c10_growth_slopes)
+    assert [r.criterion for r in results] == ["c10-mean", "c10-var"]
+    for result in results:
+        assert not result.passed
+        assert result.value > 3 * result.tolerance, (result.criterion, result.value)

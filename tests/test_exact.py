@@ -273,6 +273,16 @@ def test_moment_series_rejects_bad_args():
         moment_series(2, 1, -1.0)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("call", [lambda t: moment_series(2, 1, t),
+                                  lambda t: poisson_weighted_chain_prob(2, t)],
+                         ids=["moment_series", "poisson_weighted_chain_prob"])
+def test_moment_functions_reject_a_non_finite_t(call, t):
+    # inf used to give nan or OverflowError, and nan a nan or a failed int()
+    with pytest.raises(ValueError, match=f"t must be finite and nonnegative, got {t!r}"):
+        call(t)
+
+
 # ---------------------------------------------------------------------------
 # limit moments
 

@@ -3,9 +3,10 @@
 Each criterion compares one computational route against an independent
 oracle -- a closed form, the exact rational engine, or another simulator
 of the same law -- and returns its measurements, one ``(key, name,
-oracle, statistic)`` per tolerance key.  :func:`run_suite` alone turns a
-measurement into {value, target, tolerance, pass}, by the key's kind and
-default in :data:`TOLERANCES`; the chi-square tests of
+oracle, values)`` per tolerance key.  ``values`` lists every raw error,
+z-value, count or p-value the criterion computed, unreduced: :func:`_judge`
+alone turns a measurement into {value, target, tolerance, pass}, by the
+key's kind and default in :data:`TOLERANCES`; the chi-square tests of
 :mod:`chainrec.stats` give p-values, not verdicts.
 """
 
@@ -35,13 +36,6 @@ class CriterionResult:
     target: float
     tolerance: float
     passed: bool
-
-    def __post_init__(self):
-        # plain builtins only: numpy scalars serialize badly (JSON, repr)
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "target", float(self.target))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "passed", bool(self.passed))
 
     def as_dict(self) -> dict:
         return {
@@ -75,22 +69,26 @@ TOLERANCES = {
 
 
 def _judge(measurement, overrides):
-    """The result of a ``(key, name, oracle, statistic)`` by the key's rule in :data:`TOLERANCES`.
+    """The result of a ``(key, name, oracle, values)`` by the key's rule in :data:`TOLERANCES`.
 
-    A bound passes iff the statistic is at most the tolerance.  A level's
-    statistic is k p-values, which pass iff the least reaches level/k
-    (Bonferroni: k tests at level/k each hold the family at the level).
+    The suite's one reducer, and the one constructor of
+    :class:`CriterionResult`.  ``values`` is a non-empty list.  A bound's
+    values are errors, z-values or counts, which pass iff their max is at
+    most the tolerance.  A level's values are k p-values, which pass iff
+    their min reaches level/k (Bonferroni: k tests at level/k each hold the
+    family at the level).  The value is reported as a Python float: numpy
+    scalars serialize badly (JSON, repr).
     """
-    key, name, oracle, statistic = measurement
+    key, name, oracle, values = measurement
     kind, default = TOLERANCES[key]
     tolerance = float(overrides.get(key, default))
     if kind == "bound":
-        return CriterionResult(key, name, oracle, statistic, 0.0, tolerance,
-                               statistic <= tolerance)
-    alpha = tolerance / len(statistic)
-    if len(statistic) > 1:
+        value = float(max(values))
+        return CriterionResult(key, name, oracle, value, 0.0, tolerance, value <= tolerance)
+    alpha = tolerance / len(values)
+    if len(values) > 1:
         oracle += f"; pass iff min p-value >= {alpha:.2e}"
-    value = min(statistic)
+    value = float(min(values))
     return CriterionResult(key, name, oracle, value, alpha, alpha, value >= alpha)
 
 
@@ -121,7 +119,7 @@ def c01_closed_forms(seed, workers=1):
             "c01",
             "exact chain probabilities match the low-dimension closed forms",
             "closed forms 1/n (d=1) and 1/(2n) (d=2), exact rational equality",
-            mismatches,
+            [mismatches],
         )
     ]
 
@@ -138,14 +136,13 @@ def c02_second_index(seed, workers=1):
     beats = (second <= first).all(axis=1) & (second < first).any(axis=1)
     phat = float(beats.mean())
     z = _z_score(phat, 0.125, float(beats.std(ddof=1)), reps)
-    value = z if mismatches == 0 else math.inf
     return [
         (
             "c02",
             "second-index record probability is 2^-d, exactly and empirically",
             "exact equality for d=1..6 plus direct-sampling beat frequency at d=3 "
             f"({reps} replicates, z-units)",
-            value,
+            [z] + [math.inf] * mismatches,  # an exact mismatch is an infinite z
         )
     ]
 
@@ -164,24 +161,23 @@ def c03_probability_ordering(seed, workers=1):
             "c03",
             "record probabilities are ordered strong <= chain <= weak",
             "exact rational comparison for n <= 100, d <= 5",
-            violations,
+            [violations],
         )
     ]
 
 
 def c04_poisson_mixture(seed, workers=1):
     """Moment function equals the Poisson-weighted exact probabilities."""
-    worst = 0.0
-    for d, t in product((1, 2, 3), (0.5, 1.0, 2.0, 5.0)):
-        lhs = exact.moment_series(d, 1, t)
-        rhs = exact.poisson_weighted_chain_prob(d, t)
-        worst = max(worst, abs(lhs - rhs))
+    errors = [
+        abs(exact.moment_series(d, 1, t) - exact.poisson_weighted_chain_prob(d, t))
+        for d, t in product((1, 2, 3), (0.5, 1.0, 2.0, 5.0))
+    ]
     return [
         (
             "c04",
             "series moment function agrees with the Poisson mixture of exact probabilities",
             "two independent exact routes, max abs difference over d<=3, t in {0.5,1,2,5}",
-            worst,
+            errors,
         )
     ]
 
@@ -204,20 +200,20 @@ def _renewal_integral(d, beta, t):
 
 def c05_renewal_equation(seed, workers=1):
     """The moment function satisfies its renewal-type ODE."""
-    worst = 0.0
+    errors = []
     for d, beta, t in product((1, 2), (1, 2), (0.5, 1.0, 2.0)):
         h = 1e-5
         m_plus = exact.moment_series(d, beta, t + h)
         m_minus = exact.moment_series(d, beta, t - h)
         deriv = (m_plus - m_minus) / (2 * h)
         m_t = exact.moment_series(d, beta, t)
-        worst = max(worst, abs(deriv + m_t - _renewal_integral(d, beta, t)))
+        errors.append(abs(deriv + m_t - _renewal_integral(d, beta, t)))
     return [
         (
             "c05",
             "moment function satisfies its renewal-type differential equation",
             "central finite difference plus Gauss-Laguerre residual, beta<=2, d<=2, t in {0.5,1,2}",
-            worst,
+            errors,
         )
     ]
 
@@ -252,7 +248,7 @@ def c06_three_simulators(seed, workers=1):
 def c07_monte_carlo_vs_exact(seed, workers=1):
     """Empirical record frequencies and count means match the exact engine."""
     reps = 100_000
-    worst = 0.0
+    zs = []
     for d in (1, 2, 3):
         totals = samplers.sample_chain_flag_totals(
             d, 20, reps, seed=seed, label=f"verify:c07:flags:d={d}", workers=workers
@@ -262,20 +258,20 @@ def c07_monte_carlo_vs_exact(seed, workers=1):
             phat = totals[n - 1] / reps
             target = float(table[n - 1])
             sd = math.sqrt(phat * (1 - phat))
-            worst = max(worst, _z_score(phat, target, sd, reps))
+            zs.append(_z_score(phat, target, sd, reps))
     for d in (1, 2, 3):
         counts = samplers.sample_chain_counts(
             "direct", d, 100, reps, seed=seed, label=f"verify:c07:mean:d={d}", workers=workers
         )
         target = float(exact.expected_chain_count(d, 100))
-        worst = max(worst, _z_score(float(counts.mean()), target, float(counts.std(ddof=1)), reps))
+        zs.append(_z_score(float(counts.mean()), target, float(counts.std(ddof=1)), reps))
     return [
         (
             "c07",
             "direct-simulation frequencies and means match the exact engine",
             "exact per-index probabilities (n<=20, d<=3) and the exact expected count "
             f"at n=100, {reps} replicates, z-units",
-            worst,
+            zs,
         )
     ]
 
@@ -283,20 +279,20 @@ def c07_monte_carlo_vs_exact(seed, workers=1):
 def c08_limit_moments(seed, workers=1):
     """Sampled limit-variable moments match their exact closed forms."""
     reps = 1_000_000
-    worst = 0.0
+    zs = []
     for d in (1, 2, 3):
         values, _ = samplers.sample_limit_variables(
             d, reps, tolerance=1e-6, seed=seed, label=f"verify:c08:d={d}", workers=workers
         )
         for beta, data in ((1, values), (2, values**2)):
             target = float(exact.limit_moment(d, beta))
-            worst = max(worst, _z_score(float(data.mean()), target, float(data.std(ddof=1)), reps))
+            zs.append(_z_score(float(data.mean()), target, float(data.std(ddof=1)), reps))
     return [
         (
             "c08",
             "limit-variable moments match the exact moment formula",
             f"series sampler vs exact moments, beta<=2, d<=3, {reps} draws, z-units",
-            worst,
+            zs,
         )
     ]
 
@@ -314,7 +310,7 @@ def c09_compensator(seed, workers=1):
             "c09",
             "path integral compensates the jump count of the paced process",
             f"paired mean difference over {reps} paths at t=5, d=2, z-units",
-            z,
+            [z],
         )
     ]
 
@@ -327,8 +323,8 @@ def c10_growth_slopes(seed, workers=1):
     """Count means and variances grow like log(n)/d and log(n)/d^2."""
     reps = 10_000
     horizons = (10**3, 10**4, 10**5, 10**6)
-    worst_mean = 0.0
-    worst_var = 0.0
+    mean_errors = []
+    var_errors = []
     for d in (1, 2):
         mean_pairs = []
         var_pairs = []
@@ -338,17 +334,13 @@ def c10_growth_slopes(seed, workers=1):
             )
             mean_pairs.append((math.log(n), float(counts.mean())))
             var_pairs.append((math.log(n), float(counts.var(ddof=1))))
-        slope_mean = stats.regression_slope(mean_pairs)
-        slope_var = stats.regression_slope(var_pairs)
-        worst_mean = max(worst_mean, abs(slope_mean - 1 / d) * d)
-        worst_var = max(worst_var, abs(slope_var - 1 / d**2) * d**2)
+        mean_errors.append(abs(stats.regression_slope(mean_pairs) - 1 / d) * d)
+        var_errors.append(abs(stats.regression_slope(var_pairs) - 1 / d**2) * d**2)
     oracle = ("least-squares slope over n in {1e3..1e6}, sojourn simulator, "
               f"{reps} replicates per point, relative error")
     return [
-        ("c10-mean", "mean record count grows with slope 1/d in log n", oracle,
-         worst_mean),
-        ("c10-var", "count variance grows with slope 1/d^2 in log n", oracle,
-         worst_var),
+        ("c10-mean", "mean record count grows with slope 1/d in log n", oracle, mean_errors),
+        ("c10-var", "count variance grows with slope 1/d^2 in log n", oracle, var_errors),
     ]
 
 
@@ -457,7 +449,7 @@ def c12_reproducibility(seed, workers=1):
             "c12",
             "identical seeds give byte-identical outputs under any worker count",
             "CLI reruns of simulate/exact/limits compared byte for byte",
-            mismatches,
+            [mismatches],
         )
     ]
 

@@ -184,6 +184,37 @@ def limit_process_points(rng, d: int, window, truncation_tol: float = 1e-9):
     return points
 
 
+def _limit_log_mellin(d: int):
+    """s -> log E[Y^s] of the limit variable Y, for complex s with Re(s) > -1.
+
+    E[Y^s] = Gamma(1+s) * prod_{j=1..d-1} Gamma(1+s) Gamma(1-w_j) / Gamma(1+s-w_j)
+    over the d-th roots of unity w_j other than 1 (see :func:`limit_cdf`).
+    """
+    from scipy.special import loggamma
+
+    roots = [cmath.exp(2j * math.pi * j / d) for j in range(1, d)]
+    return lambda s: complex(loggamma(1 + s) + sum(
+        loggamma(1 + s) + loggamma(1 - w) - loggamma(1 + s - w) for w in roots))
+
+
+def _gil_pelaez_cdf(log_mellin, y: float) -> float:
+    """CDF at y > 0 of a positive variable X with log E[X^s] = ``log_mellin(s)``.
+
+    With x = log y, F(y) = 1/2 - (1/pi) * int_0^inf Im(exp(-iu x) E[X^(iu)]) / u du.
+    The integral stops at u = 60: the integrands here decay like a power of
+    u times exp(-pi u / 2).
+    """
+    from scipy.integrate import quad
+
+    x = math.log(y)
+
+    def integrand(u):
+        return cmath.exp(log_mellin(1j * u) - 1j * u * x).imag / u
+
+    value, _ = quad(integrand, 0.0, 60.0, limit=400, epsabs=1e-13, epsrel=1e-12)
+    return 0.5 - value / math.pi
+
+
 def limit_cdf(d: int, y: float) -> float:
     """CDF of the limit variable Y at y > 0, by Gil-Pelaez inversion.
 
@@ -191,23 +222,34 @@ def limit_cdf(d: int, y: float) -> float:
     E[W^s] = prod_{j=1..d-1} Gamma(1+s) Gamma(1-w_j) / Gamma(1+s-w_j) over
     the d-th roots of unity w_j other than 1; these moments are
     ``exact.limit_moment(d, beta)``.  So E[Y^(iu)] is a product of complex
-    Gamma values, and with X = log Y,
-    F(y) = 1/2 - (1/pi) * int_0^inf Im(exp(-iu log y) E[Y^(iu)]) / u du.
-    The integrand decays like exp(-pi u / 2), so the integral stops at u = 60.
+    Gamma values, which :func:`_gil_pelaez_cdf` inverts.
     """
-    from scipy.integrate import quad
-    from scipy.special import loggamma
-
     if d < 1 or not y > 0:
         raise ValueError("need d >= 1 and y > 0")
-    roots = [cmath.exp(2j * math.pi * j / d) for j in range(1, d)]
-    x = math.log(y)
+    return _gil_pelaez_cdf(_limit_log_mellin(d), y)
 
-    def integrand(u):
-        s = 1j * u
-        log_phi = loggamma(1 + s) + sum(
-            loggamma(1 + s) + loggamma(1 - w) - loggamma(1 + s - w) for w in roots)
-        return cmath.exp(complex(log_phi) - 1j * u * x).imag / u
 
-    value, _ = quad(integrand, 0.0, 60.0, limit=400, epsabs=1e-13, epsrel=1e-12)
-    return 0.5 - value / math.pi
+def window_mean(d: int, window) -> float:
+    """Exact mean number of limit-process points in ``window = (s_lo, s_hi, t_hi)``.
+
+    The -log heights form a stationary renewal grid with Gamma(d, 1) steps,
+    so grid points have intensity 1/d per unit of log-height.  For a point
+    at height xi, sigma * xi has the Palm law Z of the scaled arrival time,
+    and Y = P * Z in law with P the stationary height factor independent of
+    Z, E[P^s] = (1/d) * sum_{k=1..d} (1+s)^(-k).  So
+    E[Z^s] = E[Y^s] / E[P^s], and the mean count is
+    (1/d) * int_{log s_lo}^{log s_hi} F_Z(t_hi * e^u) du.
+    """
+    from scipy.integrate import quad
+
+    if d < 1:
+        raise ValueError("need d >= 1")
+    s_lo, s_hi, t_hi = window
+    log_mellin_y = _limit_log_mellin(d)
+
+    def log_mellin_z(s):
+        return log_mellin_y(s) - cmath.log(sum((1 + s) ** -k for k in range(1, d + 1)) / d)
+
+    value, _ = quad(lambda u: _gil_pelaez_cdf(log_mellin_z, t_hi * math.exp(u)),
+                    math.log(s_lo), math.log(s_hi), epsabs=1e-11, epsrel=1e-11)
+    return value / d

@@ -5,11 +5,16 @@ capture, so the lines always appear in the terminal).  Tolerances are
 pinned in the table ``verify.TOLERANCES``; nothing here loosens them.
 """
 
+import inspect
+import math
+import numbers
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 import scipy.integrate
 
@@ -28,7 +33,12 @@ def _judged(criterion, overrides=None):
 
 @pytest.mark.parametrize("cid", CRITERIA)
 def test_criterion(cid, capsys):
-    results = _judged(verify.CRITERIA[cid])
+    measurements = verify.CRITERIA[cid](verify.DEFAULT_SEED, 1)
+    # each measurement carries its raw values, a non-empty list that only _judge reduces
+    for key, name, oracle, values in measurements:
+        assert isinstance(values, list) and values, (key, values)
+        assert all(isinstance(v, numbers.Real) for v in values), (key, values)
+    results = [verify._judge(m, {}) for m in measurements]
     with capsys.disabled():
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -50,6 +60,52 @@ def test_criterion(cid, capsys):
     assert {r.criterion for r in results} == {
         key for key in verify.TOLERANCES if key.partition("-")[0] == cid}
     assert {key.partition("-")[0] for key in verify.TOLERANCES} == set(CRITERIA)
+
+
+def test_no_criterion_reduces_its_own_values():
+    # _judge is the one reducer: a criterion returns every value it computed
+    for cid, criterion in verify.CRITERIA.items():
+        source = inspect.getsource(criterion)
+        assert not re.search(r"\b(max|min)\(|worst", source), cid
+
+
+def test_judge_holds_a_bound_to_the_max_of_its_values():
+    values = [np.float64(0.5), 3.5, 2.0]
+    result = verify._judge(("c07", "name", "oracle", values), {})
+    assert (result.value, result.target, result.tolerance, result.passed) == (3.5, 0.0, 4.0, True)
+    assert type(result.value) is float and result.oracle == "oracle"
+    # one infinite value among finite ones fails the bound, at any finite tolerance
+    result = verify._judge(("c07", "name", "oracle", [0.5, math.inf, 2.0]), {"c07": 1e300})
+    assert (result.value, result.passed) == (math.inf, False)
+
+
+def test_judge_holds_a_level_to_the_min_of_its_values_against_level_over_k():
+    alpha = 0.01 / 4
+    values = [0.5, np.float64(0.003), 0.2, 0.9]
+    result = verify._judge(("c06", "name", "oracle", values), {})
+    assert (result.value, result.target, result.tolerance) == (0.003, alpha, alpha)
+    assert result.passed is True
+    assert type(result.value) is float
+    assert result.oracle == f"oracle; pass iff min p-value >= {alpha:.2e}"
+    result = verify._judge(("c06", "name", "oracle", [0.5, 0.002, 0.2, 0.9]), {})
+    assert (result.value, result.passed) == (0.002, False)
+    # a lone p-value is held to the level itself, and its oracle text is kept
+    lone = verify._judge(("c11", "name", "oracle", [0.009]), {})
+    assert (lone.tolerance, lone.passed, lone.oracle) == (0.01, False, "oracle")
+
+
+def test_c02_counts_an_exact_mismatch_as_an_infinite_z(monkeypatch):
+    table = exact.chain_record_prob_table
+
+    def wrong_at_d3(d, n_max, **kwargs):
+        probs = table(d, n_max, **kwargs)
+        return probs[:1] + (Fraction(1, 7),) + probs[2:] if d == 3 else probs
+
+    monkeypatch.setattr(exact, "chain_record_prob_table", wrong_at_d3)
+    [(_, _, _, values)] = verify.c02_second_index(verify.DEFAULT_SEED)
+    assert values[1:] == [math.inf] and values[0] < 4
+    [result] = _judged(verify.c02_second_index, {"c02": 1e300})
+    assert (result.value, result.passed) == (math.inf, False)
 
 
 def test_the_readme_states_each_tolerance_key_and_its_default():
@@ -200,3 +256,51 @@ def test_c10_fails_when_the_sojourn_heights_have_one_factor_too_many(monkeypatch
     for result in results:
         assert not result.passed
         assert result.value > 3 * result.tolerance, (result.criterion, result.value)
+
+
+def test_c06_fails_when_the_insertion_kernel_draws_its_first_height_with_one_factor_too_many(
+    monkeypatch
+):
+    # clean: min p 0.141; this defect: 0.0 (pass bar 0.01/18 = 5.56e-4)
+    chunk = samplers._insertion_counts_chunk
+    column = samplers._height_factor_column
+
+    def one_more_first_factor(gen, d, n, m):
+        calls = count()  # the kernel's first column is the first height
+
+        def first_one_more(gen, d, m):
+            return column(gen, d + (next(calls) == 0), m)
+
+        with mock.patch.object(samplers, "_height_factor_column", first_one_more):
+            return chunk(gen, d, n, m)
+
+    monkeypatch.setattr(samplers, "_insertion_counts_chunk", one_more_first_factor)
+    [result] = _judged(verify.c06_three_simulators)
+    assert not result.passed
+    assert result.value < 1e-10, result.value
+
+
+class _NumpyKeepingTheFirstRow:
+    """numpy, except that ``copyto`` leaves row 0 of its destination as it was.
+
+    In ``samplers`` only the direct kernel's record update calls ``copyto``:
+    a beat then moves every coordinate of the record but the first.
+    """
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def copyto(dst, src, where):
+        first = dst[0].copy()
+        np.copyto(dst, src, where=where)
+        dst[0] = first
+
+
+def test_c07_fails_when_the_direct_kernel_never_moves_the_records_first_coordinate(monkeypatch):
+    # clean: 2.54; this defect: 496 (bound 4).  Ties have probability zero, so
+    # "<" for "<=" in the beat test would change no count: 2.54 again
+    monkeypatch.setattr(samplers, "np", _NumpyKeepingTheFirstRow())
+    [result] = _judged(verify.c07_monte_carlo_vs_exact)
+    assert not result.passed
+    assert result.value > 10 * result.tolerance, result.value

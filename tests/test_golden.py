@@ -82,7 +82,8 @@ CLI_CASES = {
                       "--seed", str(SEED)],
     "detect-four": ["detect", "--in", "marks.csv"],
     "detect-eleven": ["detect", "--in", "marks.csv"],
-    "verify-limit": ["verify", "--suite", "limit", "--seed", str(SEED)],
+    **{f"verify-{suite}": ["verify", "--suite", suite, "--seed", str(SEED)]
+       for suite in ("exact", "asymptotic", "limit")},
 }
 DETECT_MARKS = {"detect-four": FOUR_POINT_MARKS, "detect-eleven": ELEVEN_POINT_MARKS}
 # c11 is a level-0.01 test, and at this seed it rejects (p = 0.0087): the

@@ -5,10 +5,11 @@ import time
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 import scipy.stats
 
-from chainrec import exact, samplers, stats
+from chainrec import exact, samplers, stats, verify
 from chainrec.rng import make_stream
 from chainrec.samplers import (
     sample_chain_counts,
@@ -28,6 +29,7 @@ from oracles import (
     limit_process_points,
     log_transform,
     mellin,
+    window_mean,
 )
 
 SEED = 8612
@@ -958,6 +960,51 @@ def test_window_kernel_rows_have_the_law_of_the_points_sampler():
     points = [len(limit_process_points(gen, 2, window)) for _ in range(4000)]
     res = stats.two_sample_test(batch, np.array(points))
     assert res.pvalue >= 0.001, res
+
+
+# c11's base and image windows, then the golden window
+_MEAN_WINDOWS = [(0.25, 1.0, 4.0), (0.5, 2.0, 2.0), (0.05, 3.0, 10.0)]
+
+
+def _window_mean_z(d, window, draws=100_000):
+    counts = sample_window_counts(d, window, draws, seed=SEED,
+                                  label=f"test:window-mean:d={d}:window={window}")
+    return zscore(counts, window_mean(d, window))
+
+
+def test_window_mean_oracle_at_dimension_one_is_the_gamma_two_integral():
+    # at d=1 the Palm law of sigma * xi is Gamma(2), with CDF 1 - e^-x (1 + x)
+    s_lo, s_hi, t_hi = 0.25, 1.0, 4.0
+
+    def gamma_two_cdf(x):
+        return -math.expm1(-x) - x * math.exp(-x)
+
+    reference, _ = scipy.integrate.quad(lambda u: gamma_two_cdf(t_hi * math.exp(u)),
+                                        math.log(s_lo), math.log(s_hi), epsabs=1e-13, epsrel=1e-13)
+    assert window_mean(1, (s_lo, s_hi, t_hi)) == pytest.approx(reference, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_window_counts_have_the_exact_mean(d):
+    for window in _MEAN_WINDOWS:
+        assert _window_mean_z(d, window) < 4, (d, window)
+
+
+def test_window_mean_check_catches_arrival_times_ten_percent_late(monkeypatch):
+    # every arrival time x1.1 acts on c11's two windows alike: c11 passes it,
+    # and only the exact mean sees it
+    chunk = samplers._window_points_chunk
+
+    def late(gen, d, window, truncation_tol, m):
+        s_lo, s_hi, t_hi = window
+        rows, xi, sigma = chunk(gen, d, (s_lo, s_hi, t_hi / 1.1), truncation_tol, m)
+        return rows, xi, 1.1 * sigma
+
+    monkeypatch.setattr(samplers, "_window_points_chunk", late)
+    [c11] = [verify._judge(m, {}) for m in verify.c11_hyperbolic_invariance(verify.DEFAULT_SEED)]
+    assert c11.passed, c11
+    for window in _MEAN_WINDOWS[:2]:
+        assert _window_mean_z(2, window) > 4, window
 
 
 @pytest.mark.parametrize("window, tol", [

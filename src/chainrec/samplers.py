@@ -22,18 +22,10 @@ kernel).  Two laws keep a second path, held equal to the first by tests:
   each slow to bring back into cache after other array work, which would
   cost the sojourn simulator its speed at large n.
 
-The insertion kernel ``_insertion_counts_chunk`` draws the first height
-column, then the screened uniforms in (_TILE, m) tiles, with each height
-factor column drawn the first time a row needs it.  So a chunk holds one
-tile and its factor columns, never its (m, n) uniform block: 4 MB at
-m = 8192.
-
-The limit-variable, sojourn and window kernels keep an index array of the
-rows still active.  After their first full-width draws, each step draws
-only for those rows: in the limit-variable kernel one height-factor row
-and one exponential each, so ``depth.sum()`` height-factor rows in all; in
-the sojourn kernel one uniform each, then a height-factor row for each row
-whose sojourn landed.  At m=1 each draws what a lone replicate draws.
+A kernel draws a value only for a replicate that uses it: the kernels
+that stop early keep an index array of the rows still active, and the
+insertion kernel draws a height factor only for each row a term hit.
+Each kernel's docstring gives its draw order.
 
 Scalar functions take a generator from :func:`chainrec.rng.make_stream`
 and are pure given that stream.  Every batch result -- the ``sample_*``
@@ -102,20 +94,19 @@ def _check_window(d, window, truncation_tol):
         raise ValueError("window must satisfy 0 < s_lo < s_hi < inf and t_hi > 0")
 
 
-def _direct_scan(rng, d, max_marks, max_records):
-    """Chain records among up to ``max_marks`` marks, stopping at ``max_records``.
+def _direct_scan(rng, d, n):
+    """Chain-record times and heights among n marks.
 
     Blocks grow geometrically from 1024 marks to ``_SCAN_BLOCK``, since
-    records are dense early and waiting times are heavy tailed.  Returns
-    the record times, their heights and the number of marks drawn.
+    records are dense early and waiting times are heavy tailed.
     """
     times: list[int] = []
     heights: list[float] = []
     rec = None
     produced = 0
     grow = 1024
-    while produced < max_marks and len(times) < max_records:
-        m = min(grow, _SCAN_BLOCK, max_marks - produced)
+    while produced < n:
+        m = min(grow, _SCAN_BLOCK, n - produced)
         grow *= 2
         block = rng.random((m, d))
         i = 0
@@ -124,7 +115,7 @@ def _direct_scan(rng, d, max_marks, max_records):
             times.append(1)
             heights.append(float(rec.prod()))
             i = 1
-        while i < m and len(times) < max_records:
+        while i < m:
             sub = block[i:]
             le = sub[:, 0] <= rec[0]
             lt = sub[:, 0] < rec[0]
@@ -140,7 +131,7 @@ def _direct_scan(rng, d, max_marks, max_records):
             heights.append(float(rec.prod()))
             i += j + 1
         produced += m
-    return times, heights, produced
+    return times, heights
 
 
 def simulate_direct(rng: np.random.Generator, d: int, n: int) -> ChainRecordTrace:
@@ -149,8 +140,7 @@ def simulate_direct(rng: np.random.Generator, d: int, n: int) -> ChainRecordTrac
     Consumes exactly n*d uniforms in mark order.
     """
     _check_horizon(d, n)
-    # n marks hold at most n records, so the scan draws all of them
-    times, heights, _ = _direct_scan(rng, d, n, n)
+    times, heights = _direct_scan(rng, d, n)
     return ChainRecordTrace(tuple(times), tuple(heights), n, d)
 
 
@@ -338,63 +328,63 @@ def _insertion_counts_chunk(gen, d, n, m):
     number of replaced terms equals the chain-record count in law.
 
     Draw order: the first height column, then the screened uniforms as
-    contiguous (_TILE, m) tiles, term-major.  Height factors are drawn on
-    demand, one (m,) column of a growing (K, m) array the first time some
-    row needs its K-th factor, so a row's factors are gathered by its own
-    count.  A tile holds _TILE * m doubles (4 MB at m = 8192): the kernel
-    never holds an (m, n) block.
+    contiguous (_TILE, m) tiles, term-major, and after each term one
+    height-factor row for each row it hit, in row order.  A tile holds
+    _TILE * m doubles (4 MB at m = 8192): the kernel never holds an (m, n)
+    block.
     """
     thresh = _height_factor_column(gen, d, m)
     counts = np.ones(m, dtype=np.int64)
-    factors = np.empty((8, m))
-    drawn = 0  # factor columns drawn so far
     for t0 in range(1, n, _TILE):
-        tile = gen.random((min(_TILE, n - t0), m))
-        for row in tile:
+        for row in gen.random((min(_TILE, n - t0), m)):
             hit = np.flatnonzero(row < thresh)
-            if not hit.size:
-                continue
-            need = counts[hit] - 1  # index of each hit row's next factor
-            while drawn <= need.max():
-                if drawn == len(factors):
-                    factors = np.concatenate([factors, np.empty_like(factors)])
-                factors[drawn] = _height_factor_column(gen, d, m)
-                drawn += 1
-            thresh[hit] *= factors[need, hit]
-            counts[hit] += 1
+            if hit.size:
+                thresh[hit] *= _height_factor_column(gen, d, hit.size)
+                counts[hit] += 1
     return counts
 
 
 def _renewal_counts_chunk(gen, d, n, m):
+    """Renewal counts of m replicates: stick-breaking heights above 1/n.
+
+    Draw order: the first height-factor row of all m rows, then per step
+    one height-factor row for each row whose height is still above 1/n.
+    """
     log_n = math.log(n)
-    x = -_log_sum_rows(gen.random((m, d)))
     counts = np.zeros(m, dtype=np.int64)
+    rows = np.arange(m)
+    x = -_log_sum_rows(gen.random((m, d)))  # -log of each active row's height
     while True:
-        above = x < log_n
-        if not above.any():
+        above = np.flatnonzero(x < log_n)
+        rows = rows[above]
+        if not rows.size:
             return counts
-        counts[above] += 1
-        x -= _log_sum_rows(gen.random((m, d)))
+        counts[rows] += 1
+        x = x[above] - _log_sum_rows(gen.random((rows.size, d)))
 
 
 def _poisson_paced_chunk(gen, d, t_end, b0, m):
-    b = np.full(m, float(b0))
-    tcur = np.zeros(m)
-    integral = np.zeros(m)
+    """Jump counts, path integrals and terminal states of m paced paths on [0, t_end].
+
+    The state b jumps at rate b to b times a height factor.  Draw order:
+    per step one exponential for each row still running, then one
+    height-factor row for each row whose jump fell within ``t_end``.
+    """
     counts = np.zeros(m, dtype=np.int64)
-    active = np.ones(m, dtype=bool)
-    while active.any():
-        hold = gen.exponential(size=m) / b
-        t_new = tcur + hold
-        finish = active & (t_new > t_end)
-        integral[finish] += b[finish] * (t_end - tcur[finish])
-        cont = active & ~finish
-        integral[cont] += b[cont] * hold[cont]
-        counts[cont] += 1
-        tcur = np.where(cont, t_new, tcur)
-        w = _height_factor_column(gen, d, m)
-        b = np.where(cont, b * w, b)
-        active = cont
+    integral = np.zeros(m)
+    b = np.full(m, float(b0))
+    rows, t = np.arange(m), np.zeros(m)  # the running rows and their times
+    while rows.size:
+        state = b[rows]
+        hold = gen.exponential(size=rows.size) / state
+        t_new = t + hold
+        over = t_new > t_end
+        end, jump = np.flatnonzero(over), np.flatnonzero(~over)
+        integral[rows[end]] += state[end] * (t_end - t[end])
+        rows, t, state = rows[jump], t_new[jump], state[jump]
+        integral[rows] += state * hold[jump]
+        counts[rows] += 1
+        b[rows] = state * _height_factor_column(gen, d, rows.size)
     return counts, integral, b
 
 
@@ -519,7 +509,7 @@ def sample_chain_counts(
         fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)[0]
     elif method == "direct":
         fn = lambda gen, k: np.array(
-            [len(_direct_scan(gen, d, n, n)[0]) for _ in range(k)], dtype=np.int64
+            [len(_direct_scan(gen, d, n)[0]) for _ in range(k)], dtype=np.int64
         )
     elif method == "sojourn":
         fn = lambda gen, k: _sojourn_counts_chunk(gen, d, n, k)

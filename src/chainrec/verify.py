@@ -76,19 +76,21 @@ def _judge(measurement, overrides):
     values are errors, z-values or counts, which pass iff their max is at
     most the tolerance.  A level's values are k p-values, which pass iff
     their min reaches level/k (Bonferroni: k tests at level/k each hold the
-    family at the level).  The value is reported as a Python float: numpy
-    scalars serialize badly (JSON, repr).
+    family at the level).  A NaN among the values is the value, and fails.
+    The value is reported as a Python float: numpy scalars serialize badly
+    (JSON, repr).
     """
     key, name, oracle, values = measurement
     kind, default = TOLERANCES[key]
     tolerance = float(overrides.get(key, default))
+    # max and min would skip a NaN unless it came first
+    value = math.nan if any(map(math.isnan, values)) else float(
+        (max if kind == "bound" else min)(values))
     if kind == "bound":
-        value = float(max(values))
         return CriterionResult(key, name, oracle, value, 0.0, tolerance, value <= tolerance)
     alpha = tolerance / len(values)
     if len(values) > 1:
         oracle += f"; pass iff min p-value >= {alpha:.2e}"
-    value = float(min(values))
     return CriterionResult(key, name, oracle, value, alpha, alpha, value >= alpha)
 
 

@@ -94,6 +94,15 @@ def test_judge_holds_a_level_to_the_min_of_its_values_against_level_over_k():
     assert (lone.tolerance, lone.passed, lone.oracle) == (0.01, False, "oracle")
 
 
+@pytest.mark.parametrize("key, values", [
+    ("c07", [1.0, math.nan]), ("c07", [math.nan, 1.0]),
+    ("c06", [0.5, math.nan]), ("c06", [math.nan, 0.5]),
+], ids=["bound-last", "bound-first", "level-last", "level-first"])
+def test_judge_fails_a_nan_in_any_position(key, values):
+    result = verify._judge((key, "name", "oracle", values), {})
+    assert math.isnan(result.value) and result.passed is False
+
+
 def test_c02_counts_an_exact_mismatch_as_an_infinite_z(monkeypatch):
     table = exact.chain_record_prob_table
 
@@ -218,6 +227,7 @@ def test_c11_fails_when_the_image_window_is_twice_as_long_in_time(monkeypatch):
 
 
 def test_c09_fails_when_the_path_integrals_are_two_percent_large(monkeypatch):
+    # clean: 1.04; this defect: 8.94 (bound 4)
     chunk = samplers._poisson_paced_chunk
 
     def inflated(*args):
@@ -261,7 +271,7 @@ def test_c10_fails_when_the_sojourn_heights_have_one_factor_too_many(monkeypatch
 def test_c06_fails_when_the_insertion_kernel_draws_its_first_height_with_one_factor_too_many(
     monkeypatch
 ):
-    # clean: min p 0.141; this defect: 0.0 (pass bar 0.01/18 = 5.56e-4)
+    # clean: min p 0.109; this defect: 0.0 (pass bar 0.01/18 = 5.56e-4)
     chunk = samplers._insertion_counts_chunk
     column = samplers._height_factor_column
 

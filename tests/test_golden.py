@@ -105,11 +105,6 @@ def _chunks_of(size):
     return mock.patch.object(samplers, "_CHUNK", size)
 
 
-def _scans(d, max_marks, max_records, streams) -> bytes:
-    scans = (samplers._direct_scan(g, d, max_marks, max_records) for g in streams)
-    return repr([(tuple(times), tuple(heights), drawn) for times, heights, drawn in scans]).encode()
-
-
 LIBRARY_CASES = {
     "chain-counts-direct": _chunks_of(1500)(lambda: samplers.sample_chain_counts(
         "direct", 3, 30, 5000, seed=SEED, label="golden:direct").tobytes()),
@@ -126,10 +121,6 @@ LIBRARY_CASES = {
         2, (0.25, 1.0, 4.0), 300, seed=SEED, label="golden:window").tobytes()),
     "simulate-direct-traces": lambda: _traces(
         samplers.simulate_direct(g, 2, 20000) for g in _streams("golden:direct-trace", 5)),
-    # the direct scan stopped at a record count, then by its mark cap
-    "simulate-direct-until": lambda: _scans(2, 10**6, 4, _streams("golden:until", 20)),
-    "simulate-direct-until-capped": lambda: _scans(
-        2, 3000, 50, _streams("golden:until-capped", 5)),
     # single draws: the kernel at m=1, as a Python int or float
     "simulate-insertion-counts": lambda: repr(
         [int(samplers._insertion_counts_chunk(g, 2, 500, 1)[0])

@@ -200,7 +200,7 @@ def test_direct_kernel_sub_blocks_match_one_block_and_the_scalar_scan(monkeypatc
     assert all(np.array_equal(a, b) for a, b in zip(one_block, sub_blocked))
     # replicate r of a chunk is the r-th scalar scan of the same stream
     gen = make_stream(SEED, 34)
-    scans = [samplers._direct_scan(gen, d, n, n)[0] for _ in range(m)]
+    scans = [samplers._direct_scan(gen, d, n)[0] for _ in range(m)]
     assert one_block[0].tolist() == [len(times) for times in scans]
     flags = np.bincount([t - 1 for times in scans for t in times], minlength=n)
     assert one_block[1].tolist() == [flags.tolist()]
@@ -233,14 +233,18 @@ def test_tiled_direct_kernel_equals_the_scalar_scan(d, n, grid):
     counts, totals = samplers._direct_counts_chunk(_stream(grid, 35), d, n, m)
     # replicate r of a chunk is the r-th scalar scan of the same stream
     gen = _stream(grid, 35)
-    scans = [samplers._direct_scan(gen, d, n, n)[0] for _ in range(m)]
+    scans = [samplers._direct_scan(gen, d, n)[0] for _ in range(m)]
     assert counts.tolist() == [len(times) for times in scans]
     flags = np.bincount([t - 1 for times in scans for t in times], minlength=n)
     assert totals.tolist() == [flags.tolist()]
 
 
 def _reduction_mask_scan(rng, d, max_marks, max_records, block_size=1 << 16):
-    """The direct scan with its mask built by reductions over each row: the oracle."""
+    """The direct scan with its mask built by reductions over each row: the oracle.
+
+    It stops at ``max_records`` records or ``max_marks`` marks, whichever
+    comes first.
+    """
     times, heights = [], []
     rec = None
     produced = 0
@@ -266,19 +270,17 @@ def _reduction_mask_scan(rng, d, max_marks, max_records, block_size=1 << 16):
             heights.append(float(rec.prod()))
             i += j + 1
         produced += m
-    return times, heights, produced
+    return times, heights
 
 
 @pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_direct_scan_equals_the_reduction_mask(d, grid, monkeypatch):
     for key in range(37, 47):
-        for max_marks, max_records, block_size in ((5000, 5000, 1 << 16), (3000, 3, 1 << 16),
-                                                   (2500, 2500, 100)):
+        for n, block_size in ((5000, 1 << 16), (2500, 100)):
             monkeypatch.setattr(samplers, "_SCAN_BLOCK", block_size)
-            fast = samplers._direct_scan(_stream(grid, key), d, max_marks, max_records)
-            args = (d, max_marks, max_records, block_size)
-            assert fast == _reduction_mask_scan(_stream(grid, key), *args)
+            fast = samplers._direct_scan(_stream(grid, key), d, n)
+            assert fast == _reduction_mask_scan(_stream(grid, key), d, n, n, block_size)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -395,7 +397,7 @@ def test_heights_match_products_of_factors():
     reps = 4000
     collected = {1: [], 2: [], 3: []}
     for _ in range(reps):
-        _, heights, _ = samplers._direct_scan(gen, 2, 10**7, 3)  # stop at the third record
+        _, heights = _reduction_mask_scan(gen, 2, 10**7, 3)  # stop at the third record
         for k, h in enumerate(heights, 1):
             collected[k].append(h)
     gen2 = make_stream(SEED, 44)
@@ -457,33 +459,42 @@ def test_insertion_kernel_equals_the_scalar_scan(d):
         assert count.tolist() == [len(heights)], (i, n)
 
 
-def _insertion_rows(gen, d, n, m):
-    """The insertion kernel's draws at m rows, screened one row at a time: the oracle.
+def _insertion_rows(draws, d, n, m):
+    """The insertion kernel's counts, replayed from its recorded draws one row at a time.
 
-    Factor column k is drawn when the first row needs its k-th factor, and
-    row r multiplies its threshold by entry r of its own k-th column.
+    ``draws`` are the first height factors of all m rows, then per tile of
+    ``_TILE`` terms its (terms, m) uniforms, and after each term that hit
+    some row one height-factor row for each row it hit, in row order.
     """
-    thresh = np.exp(np.log(gen.random((m, d))).sum(axis=1)).tolist()
+    draws = iter(draws)
+    name, first = next(draws)
+    assert name == "random" and first.shape == (m, d)
+    thresh = [np.exp(np.log(f).sum()) for f in first]
     counts = [1] * m
-    columns = []
     for t0 in range(1, n, samplers._TILE):
-        for term in gen.random((min(samplers._TILE, n - t0), m)):
-            for r in range(m):
-                if term[r] < thresh[r]:
-                    k = counts[r] - 1
-                    while len(columns) <= k:
-                        columns.append(np.exp(np.log(gen.random((m, d))).sum(axis=1)))
-                    thresh[r] *= columns[k][r]
-                    counts[r] += 1
+        name, tile = next(draws)
+        assert name == "random" and tile.shape == (min(samplers._TILE, n - t0), m)
+        for term in tile:
+            hit = [r for r in range(m) if term[r] < thresh[r]]
+            if not hit:
+                continue
+            name, factors = next(draws)
+            assert name == "random" and factors.shape == (len(hit), d)
+            for r, f in zip(hit, factors):
+                thresh[r] = thresh[r] * np.exp(np.log(f).sum())
+                counts[r] += 1
+    assert next(draws, None) is None
     return counts
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 64, 65, 200])
 def test_insertion_kernel_gathers_each_rows_own_factors(d, n):
+    # one factor per hit row, in row order: no row draws a factor it does not use
     for key in range(3):
-        counts = samplers._insertion_counts_chunk(make_stream(SEED, 72, key), d, n, 30)
-        assert counts.tolist() == _insertion_rows(make_stream(SEED, 72, key), d, n, 30)
+        gen = RecordedDraws(make_stream(SEED, 72, key))
+        counts = samplers._insertion_counts_chunk(gen, d, n, 30)
+        assert counts.tolist() == _insertion_rows(gen.draws, d, n, 30)
 
 
 class DrawSizes:
@@ -637,6 +648,39 @@ def test_renewal_count_frozen_example():
     assert counts.tolist() == [2]
 
 
+def _renewal_rows(draws, d, n, m):
+    """The renewal kernel's counts, replayed from its recorded draws one row at a time.
+
+    ``draws`` are the first height factors of all m rows, then per step a
+    height-factor row for each row whose height is still above 1/n, in row
+    order, so every draw must have as many rows as are active.
+    """
+    (name, first), *steps = draws
+    assert name == "random" and first.shape == (m, d)
+    log_n = math.log(n)
+    x = [-np.log(f).sum() for f in first]
+    counts = [0] * m
+    active = [r for r in range(m) if x[r] < log_n]
+    for name, factors in steps:
+        assert name == "random" and factors.shape == (len(active), d)
+        for r, f in zip(active, factors):
+            counts[r] += 1
+            x[r] = x[r] - np.log(f).sum()
+        active = [r for r in active if x[r] < log_n]
+    assert not active
+    return counts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 10**4])
+@pytest.mark.parametrize("m", [1, 30])
+def test_renewal_kernel_draws_only_for_its_active_rows(d, n, m):
+    for key in range(3):
+        gen = RecordedDraws(make_stream(SEED, 79, key))
+        counts = samplers._renewal_counts_chunk(gen, d, n, m)
+        assert counts.tolist() == _renewal_rows(gen.draws, d, n, m)
+
+
 def test_renewal_count_mean():
     counts = sample_renewal_counts(2, 10**4, 100000, seed=SEED, label="test:renewal")
     target = math.log(10**4) / 2
@@ -674,17 +718,16 @@ def _paced_path(gen, d, t_end, b0):
     """Jump times and states of the paced process, one jump at a time: the oracle.
 
     Draws as the paced kernel does at m=1: an exponential hold, then a
-    height factor, until the hold passes ``t_end``.
+    height factor if the jump falls within ``t_end``.
     """
     jumps, states = [], [b0]
     t = 0.0
     while True:
         t += gen.exponential(size=1)[0] / states[-1]
-        w = np.exp(np.log(gen.random((1, d))).sum(axis=1))[0]
         if t > t_end:
             return jumps, states
         jumps.append(t)
-        states.append(states[-1] * w)
+        states.append(states[-1] * np.exp(np.log(gen.random((1, d))).sum(axis=1))[0])
 
 
 def test_poisson_paced_path_structure():
@@ -706,6 +749,48 @@ def test_poisson_paced_integral_sums_the_segments():
         assert integral[0] == pytest.approx(segments, rel=1e-12)
         jumps_seen += len(jumps)
     assert jumps_seen >= 100
+
+
+def _paced_rows(draws, d, t_end, b0, m):
+    """The paced kernel's counts, integrals and states, replayed one row at a time.
+
+    ``draws`` are per step an exponential for each running row, then a
+    height-factor row for each row whose jump fell within ``t_end``, in row
+    order, so every draw must have as many rows as use it.
+    """
+    names = [name for name, _ in draws]
+    assert names == ["exponential", "random"] * (len(draws) // 2)
+    counts, integral, b, t = [0] * m, [0.0] * m, [float(b0)] * m, [0.0] * m
+    active = list(range(m))
+    for (_, exponentials), (_, factors) in zip(draws[::2], draws[1::2]):
+        assert len(exponentials) == len(active)
+        jumped = []
+        for r, e in zip(active, exponentials):
+            hold = e / b[r]
+            if t[r] + hold > t_end:
+                integral[r] = integral[r] + b[r] * (t_end - t[r])
+                continue
+            integral[r] = integral[r] + b[r] * hold
+            t[r] = t[r] + hold
+            counts[r] += 1
+            jumped.append(r)
+        assert factors.shape == (len(jumped), d)
+        for r, f in zip(jumped, factors):
+            b[r] = b[r] * np.exp(np.log(f).sum())
+        active = jumped
+    assert not active
+    return counts, integral, b
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("t_end, b0", [(0.5, 1.0), (5.0, 2.0)])
+@pytest.mark.parametrize("m", [1, 30])
+def test_paced_kernel_draws_only_for_its_running_rows(d, t_end, b0, m):
+    for key in range(3):
+        gen = RecordedDraws(make_stream(SEED, 82, key))
+        counts, integral, states = samplers._poisson_paced_chunk(gen, d, t_end, b0, m)
+        replayed = _paced_rows(gen.draws, d, t_end, b0, m)
+        assert [counts.tolist(), integral.tolist(), states.tolist()] == list(replayed)
 
 
 def test_compensator_identity_small():

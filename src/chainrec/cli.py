@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -48,16 +47,27 @@ ENV_OUT_DIR = "CHAINREC_OUT_DIR"
 # option plumbing
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, without a leading byte order mark."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+
+
+def _blank_or_comment(raw: str) -> bool:
+    return raw.lstrip()[:1] in ("", "#")
+
+
 def _config_args(path: str) -> list[str]:
     """The ``key=value`` lines of a config file as the flags ``--key=value``."""
     flags = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, raw in enumerate(_read_lines(path), 1):
+        if _blank_or_comment(raw):
             continue
-        if "=" not in line:
+        key, eq, value = raw.partition("=")
+        if not eq:
             raise ValueError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
         flags.append(f"--{key.strip()}={value.strip()}")
     return flags
 
@@ -111,7 +121,7 @@ def _emit(text, path: Path | None) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with partial.open("w") as fh:
+        with partial.open("w", encoding="utf-8") as fh:
             fh.writelines(parts)
         os.replace(partial, path)
     finally:
@@ -140,55 +150,47 @@ def _meta_dict(command: str, seed, config: dict) -> dict:
 def _read_marks_csv(path: str):
     """The marks of a CSV with header ``x1,...,xd``, as an ``(m, d)`` array.
 
-    A body of mark rows alone is parsed in one pass.  Any other body is
-    scanned line by line, which also names the line of an error.
+    Blank and ``#`` comment lines may stand anywhere, and cells may be padded.
+    The body is parsed in one pass as it stands, or else, filtered only then,
+    without its blank and comment lines.  numpy casts a cell as ``float``
+    does, so only a body with an error or no mark is scanned line by line.
     """
     import numpy as np
 
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
-    dim = None
-    marks: list[tuple[float, ...]] = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if dim is None:
-            expected = [f"x{i}" for i in range(1, len(parts) + 1)]
-            if parts != expected:
-                raise ValueError(
-                    f"{path}: line {lineno}: header must be x1,...,xd, got {raw!r}"
-                )
-            dim = len(parts)
-            body = lines[lineno:]
-            if all(row.count(",") == dim - 1 for row in body):
-                try:
-                    flat = np.array(",".join(body).split(","), dtype=float)
-                except ValueError:  # a blank, comment or non-numeric line
-                    continue
-                if ((flat >= 0.0) & (flat <= 1.0)).all():
-                    return flat.reshape(-1, dim)
-            continue
-        if len(parts) != dim:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {dim} coordinates, got {len(parts)}"
-            )
-        try:
-            values = tuple(float(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric coordinate") from None
-        for v in values:
-            if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"{path}: line {lineno}: coordinate {v!r} outside [0, 1]")
-        marks.append(values)
-    if dim is None:
+    lines = _read_lines(path)
+    start = next((i for i, raw in enumerate(lines) if not _blank_or_comment(raw)), None)
+    if start is None:
         raise ValueError(f"{path}: missing header row x1,...,xd")
-    if not marks:
-        raise ValueError(f"{path}: no marks after the header")
-    return np.array(marks, dtype=float)
+    dim = lines[start].count(",") + 1
+    if [p.strip() for p in lines[start].split(",")] != [f"x{i}" for i in range(1, dim + 1)]:
+        raise ValueError(f"{path}: line {start + 1}: header must be x1,...,xd, got {lines[start]!r}")
+    body = lines[start + 1 :]
+    for retry in (False, True):
+        rows = [row for row in body if not _blank_or_comment(row)] if retry else body
+        if all(row.count(",") == dim - 1 for row in rows):
+            try:
+                flat = np.array(",".join(rows).split(","), dtype=float)
+            except ValueError:  # a blank, comment or non-numeric line, or none
+                continue
+            if ((flat >= 0.0) & (flat <= 1.0)).all():
+                return flat.reshape(-1, dim)
+    raise _marks_error(path, body, start + 2, dim)
+
+
+def _marks_error(path: str, body: list[str], first: int, dim: int) -> ValueError:
+    """The first error in ``body``, whose lines are numbered from ``first``."""
+    numbered = ((n, raw) for n, raw in enumerate(body, first) if not _blank_or_comment(raw))
+    for lineno, raw in numbered:
+        parts = raw.split(",")
+        if len(parts) != dim:
+            return ValueError(f"{path}: line {lineno}: expected {dim} coordinates, got {len(parts)}")
+        try:
+            bad = [v for v in map(float, parts) if not 0.0 <= v <= 1.0]
+        except ValueError:
+            return ValueError(f"{path}: line {lineno}: non-numeric coordinate")
+        if bad:
+            return ValueError(f"{path}: line {lineno}: coordinate {bad[0]!r} outside [0, 1]")
+    return ValueError(f"{path}: no marks after the header")
 
 
 def _cmd_detect(args) -> int:

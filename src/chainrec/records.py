@@ -81,8 +81,8 @@ class RecordDetector:
 
         Returns an ``(m, 3 + dim)`` boolean array with one row per mark:
         the chain, weak and strong flags, then one marginal flag per
-        coordinate.  A mark whose length is not ``dim`` raises
-        ``ValueError`` before any state changes.
+        coordinate.  A scalar mark, or one whose length is not ``dim``,
+        raises ``ValueError`` naming its index before any state changes.
         """
         x = self._as_rows(marks)
         out = np.empty((len(x), 3 + self.dim), dtype=bool)
@@ -95,8 +95,7 @@ class RecordDetector:
         return out
 
     def _as_rows(self, marks: Sequence[Point]) -> np.ndarray:
-        # the marks are scanned one by one, to name the first bad index, only
-        # when numpy rejects them as ragged or their shape is wrong
+        # only marks that numpy rejects or reads in a wrong shape are scanned
         try:
             x = np.asarray(marks, dtype=float)
             if x.shape[1:] == (self.dim,):
@@ -104,10 +103,9 @@ class RecordDetector:
         except ValueError:
             pass
         for k, mark in enumerate(marks, self.index + 1):
-            if len(mark) != self.dim:
-                raise ValueError(
-                    f"dimension mismatch at index {k}: got {len(mark)}, expected {self.dim}"
-                )
+            got = len(mark) if np.ndim(mark) else "a scalar"
+            if got != self.dim:
+                raise ValueError(f"dimension mismatch at index {k}: got {got}, expected {self.dim}")
         return np.array(marks, dtype=float).reshape(len(marks), self.dim)
 
     def _classify_block(self, x: np.ndarray, out: np.ndarray) -> None:

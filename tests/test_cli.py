@@ -141,13 +141,120 @@ def test_marks_csv_one_pass_parse_equals_the_line_scan(tmp_path):
     rows = [",".join(map(repr, row)) for row in marks.tolist()]
     plain = tmp_path / "plain.csv"
     plain.write_text("x1,x2,x3\n" + "\n".join(rows) + "\n")
-    # comments, a blank line and padded cells are valid, but only the line
-    # scan accepts them
+    # comments, blank lines (a trailing one too) and padded cells are valid:
+    # the parse retried without the blank and comment lines reads each cell
+    # as float() does, so every file gives the marks it was written from
     padded = tmp_path / "padded.csv"
     padded.write_text("# marks\nx1, x2, x3\n" + "\n".join(rows[:1000]) + "\n\n# half\n"
                       + "\n".join(r.replace(",", " , ") for r in rows[1000:]) + "\n")
+    trailing = tmp_path / "trailing.csv"
+    trailing.write_text(plain.read_text() + "\n")
+    # at d = 1 a comment line has the comma count of a mark
+    column = tmp_path / "column.csv"
+    column.write_text("x1\n# first\n" + "\n".join(map(repr, marks[:, 0].tolist())) + "\n# end\n")
     assert np.array_equal(_read_marks_csv(str(plain)), marks)
     assert np.array_equal(_read_marks_csv(str(padded)), marks)
+    assert np.array_equal(_read_marks_csv(str(trailing)), marks)
+    assert np.array_equal(_read_marks_csv(str(column)), marks[:, :1])
+
+
+def _marks_file_lines(variant, marks):
+    """The lines of a valid marks file holding ``marks``, written as ``variant``."""
+    d = marks.shape[1]
+    header = ",".join(f"x{i}" for i in range(1, d + 1))
+    rows = [",".join(map(repr, row)) for row in marks.tolist()]
+    half = len(rows) // 2
+    return {
+        "plain": [header, *rows],
+        "comments": ["# marks", header, "# first half", *rows[:half], "  # second half",
+                     *rows[half:], "# end"],
+        "blank-lines": ["", header, *rows[:half], "", "   ", *rows[half:]],
+        "trailing-blank": [header, *rows, ""],
+        "padded": [header.replace(",", " , "), *(f" {r.replace(',', ' ,  ')}\t" for r in rows)],
+        "bom": ["\ufeff" + header, *rows],
+        "all": ["\ufeff# marks", "", f" {header} ", "# rows", *(f"{r} " for r in rows[:half]),
+                "", *(r.replace(",", ", ") for r in rows[half:]), ""],
+    }[variant]
+
+
+@pytest.mark.parametrize("variant", ["plain", "comments", "blank-lines", "trailing-blank",
+                                     "padded", "bom", "all"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_no_valid_marks_file_reaches_the_line_scan(tmp_path, monkeypatch, d, variant):
+    scan, scans = cli._marks_error, []
+
+    def spy(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(cli, "_marks_error", spy)
+    marks = np.random.default_rng(d).random((500, d))
+    lines = _marks_file_lines(variant, marks)
+    src = tmp_path / "marks.csv"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert np.array_equal(_read_marks_csv(str(src)), marks)
+    assert scans == []
+    # the spy is on the path an error takes
+    src.write_text("\n".join([*lines, ",".join(["0.5"] * (d - 1) + ["1.5"])]) + "\n",
+                   encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line {len(lines) + 1}: coordinate 1.5 outside"):
+        _read_marks_csv(str(src))
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("# marks\n\nx1,x2\n# c\n0.1,0.2\n\n0.3\n",
+                     "line 7: expected 2 coordinates, got 1", id="ragged-after-comments"),
+        pytest.param("\ufeff# marks\nx1,x2\n\n0.1,0.2\n 0.3 , oops\n",
+                     "line 5: non-numeric coordinate", id="non-numeric-after-a-bom"),
+        pytest.param("\n# marks\nx1\n# c\n0.5\n1.5\n",
+                     "line 6: coordinate 1.5 outside [0, 1]", id="d1-outside-after-a-comment"),
+        pytest.param("x1\n# c\n0.5\n\n0.2,0.3\n",
+                     "line 5: expected 1 coordinates, got 2", id="d1-ragged-after-a-comment"),
+        pytest.param("\n# c\n\n", "missing header", id="no-header"),
+        pytest.param("# c\nx1\n# c\n\n", "no marks after the header", id="d1-no-marks"),
+        pytest.param("# c\n\nx1,y2\n", "line 3: header must be x1,...,xd", id="bad-header"),
+    ],
+)
+def test_detect_errors_after_skipped_lines_name_their_own_line(tmp_path, capsys, text, message):
+    src = tmp_path / "bad.csv"
+    src.write_text(text, encoding="utf-8")
+    assert main(["detect", "--in", str(src)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "d, bad, message",
+    [
+        (2, "0.1,0.2,0.3", "expected 2 coordinates, got 3"),
+        (2, "0.1,oops", "non-numeric coordinate"),
+        (1, "1.5", "coordinate 1.5 outside [0, 1]"),
+        (1, "oops", "non-numeric coordinate"),
+    ],
+)
+def test_detect_names_a_bad_line_deep_after_skipped_lines(tmp_path, capsys, d, bad, message):
+    marks = np.random.default_rng(9).random((50_000, d))
+    lines = ["# marks", ",".join(f"x{i}" for i in range(1, d + 1)),
+             *(",".join(map(repr, row)) for row in marks.tolist())]
+    for i in range(5, len(lines), 1000):
+        lines[i] = "" if i % 2 else "  # a comment"
+    lines[39_999] = bad  # line 40,000 of the file
+    src = tmp_path / "bad.csv"
+    src.write_text("\n".join(lines) + "\n")
+    assert main(["detect", "--in", str(src)]) == 1
+    assert f"line 40000: {message}" in capsys.readouterr().err
+
+
+def test_detect_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_marks_csv(plain, FOUR_POINT_MARKS)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["detect", "--in", str(plain)]) == 0
+    expected = data_rows(capsys.readouterr().out)
+    assert main(["detect", "--in", str(bom)]) == 0
+    assert data_rows(capsys.readouterr().out) == expected
 
 
 def test_detect_dimension_check(tmp_path, capsys):
@@ -669,6 +776,40 @@ def test_missing_config_file_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "missing.cfg" in err
+
+
+def test_a_config_file_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfd=2\nn=3\n")
+    assert main(["exact", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["exact", "--d", "2", "--n", "3"]) == 0
+    assert from_config == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["detect", "exact"])
+def test_an_input_file_that_is_not_utf8_is_an_error_naming_it(tmp_path, capsys, command):
+    src = tmp_path / "latin1.txt"
+    if command == "detect":
+        src.write_bytes("x1,x2\n0.5,0.5\n# caf\u00e9\n".encode("latin-1"))
+        argv = ["detect", "--in", str(src)]
+    else:
+        src.write_bytes("d=2\nn=3\n# caf\u00e9\n".encode("latin-1"))
+        argv = ["exact", "--config", str(src)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {src}: ")
+
+
+def test_files_are_written_as_utf8_in_any_locale(tmp_path):
+    # an ASCII locale, with Python's UTF-8 mode and locale coercion off
+    import_root = str(Path(chainrec.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=import_root)
+    script = ("import sys; from pathlib import Path; from chainrec.cli import _emit; "
+              "_emit('caf\\u00e9\\n', Path(sys.argv[1]))")
+    out = tmp_path / "out.txt"
+    subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=60)
+    assert out.read_bytes() == "caf\u00e9\n".encode("utf-8")
 
 
 def test_malformed_config_line_is_an_error(tmp_path, capsys):

@@ -204,6 +204,21 @@ def test_ragged_input_names_the_first_bad_index():
     assert det.index == 3
 
 
+def test_a_scalar_mark_is_a_dimension_mismatch():
+    # a scalar has no length: it is named as a bad mark, not a TypeError
+    with pytest.raises(ValueError, match="dimension mismatch at index 1: got a scalar, expected 2"):
+        RecordDetector(2).extend([0.5, 0.5])
+    det = RecordDetector(2)
+    det.process((0.5, 0.5))
+    with pytest.raises(ValueError, match="dimension mismatch at index 3: got a scalar, expected 2"):
+        det.extend([[0.4, 0.6], 0.3])
+    with pytest.raises(ValueError, match="dimension mismatch at index 2: got a scalar, expected 2"):
+        det.process(0.3)
+    with pytest.raises(ValueError, match="dimension mismatch at index 1: got a scalar, expected 1"):
+        RecordDetector(1).extend([0.5, 0.3])
+    assert det.index == 1 and det.pareto_front == ((0.5, 0.5),)
+
+
 def test_extend_of_no_marks_changes_nothing():
     det = RecordDetector(3)
     assert det.extend([]).shape == (0, 6)

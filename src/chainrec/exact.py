@@ -37,6 +37,11 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
 
 
+def _check_beta(beta: int) -> None:
+    if not isinstance(beta, int) or beta < 1:
+        raise ValueError(f"beta must be a positive integer, got {beta!r}")
+
+
 def _check_time(t: float) -> None:
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
@@ -119,8 +124,7 @@ def moment_series(d: int, beta: int, t: float) -> float:
     instead (t**beta * m -> limit_moment(d, beta)).
     """
     _check_dim(d)
-    if not isinstance(beta, int) or beta < 1:
-        raise ValueError(f"beta must be a positive integer, got {beta!r}")
+    _check_beta(beta)
     _check_time(t)
     if t == 0:
         return 1.0
@@ -181,8 +185,7 @@ def limit_moment(d: int, beta: int) -> Fraction:
     limit of t**beta * moment_series(d, beta, t) as t grows.
     """
     _check_dim(d)
-    if not isinstance(beta, int) or beta < 1:
-        raise ValueError(f"beta must be a positive integer, got {beta!r}")
+    _check_beta(beta)
     den = beta * d
     for r in range(2, beta + 1):
         den *= r**d - 1

@@ -81,8 +81,8 @@ class RecordDetector:
 
         Returns an ``(m, 3 + dim)`` boolean array with one row per mark:
         the chain, weak and strong flags, then one marginal flag per
-        coordinate.  A scalar mark, or one whose length is not ``dim``,
-        raises ``ValueError`` naming its index before any state changes.
+        coordinate.  A mark whose shape is not ``(dim,)`` raises
+        ``ValueError`` naming its index before any state changes.
         """
         x = self._as_rows(marks)
         out = np.empty((len(x), 3 + self.dim), dtype=bool)
@@ -95,18 +95,27 @@ class RecordDetector:
         return out
 
     def _as_rows(self, marks: Sequence[Point]) -> np.ndarray:
-        # only marks that numpy rejects or reads in a wrong shape are scanned
+        # numpy reads valid marks; other input is scanned for the first mark
+        # of a shape other than (dim,), or else raises numpy's own error
+        error = ValueError(f"marks must have shape (m, {self.dim})")
         try:
             x = np.asarray(marks, dtype=float)
             if x.shape[1:] == (self.dim,):
                 return x
-        except ValueError:
-            pass
+            if x.shape[:1] == (0,):  # no marks
+                return x.reshape(0, self.dim)
+        except ValueError as exc:
+            error = exc
         for k, mark in enumerate(marks, self.index + 1):
-            got = len(mark) if np.ndim(mark) else "a scalar"
-            if got != self.dim:
+            try:
+                shape = np.shape(mark)
+            except ValueError:  # numpy's error for a ragged mark
+                shape = None
+            if shape != (self.dim,):
+                got = ("a ragged sequence" if shape is None else "a scalar" if shape == ()
+                       else shape[0] if len(shape) == 1 else f"shape {shape}")
                 raise ValueError(f"dimension mismatch at index {k}: got {got}, expected {self.dim}")
-        return np.array(marks, dtype=float).reshape(len(marks), self.dim)
+        raise error
 
     def _classify_block(self, x: np.ndarray, out: np.ndarray) -> None:
         # mins[j] is the running minimum of every mark before x[j]

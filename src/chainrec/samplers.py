@@ -526,17 +526,18 @@ def sample_chain_flag_totals(
     seed: int,
     label: str | None = None,
     workers: int = 1,
-) -> np.ndarray:
-    """Per-index chain-record totals over replicates of direct detection.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chain-record counts and per-index totals of direct detection.
 
-    Entry j is the number of replicates whose mark at index j+1 was a
-    chain record; dividing by ``replicates`` estimates the per-index
-    probability.
+    ``counts`` equals ``sample_chain_counts("direct", ...)`` under one label
+    for n <= 4096.  Entry j of ``totals`` counts the replicates with a chain
+    record at index j+1; over ``replicates`` it estimates its probability.
     """
     _check_horizon(d, n)
     label = label or f"chain-flags:d={d}:n={n}"
-    fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)[1]
-    return _run_chunked(fn, replicates, seed, label, workers).sum(axis=0)
+    fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)
+    counts, totals = _run_chunked(fn, replicates, seed, label, workers)
+    return counts, totals.sum(axis=0)
 
 
 def sample_renewal_counts(

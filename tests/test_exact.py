@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -304,6 +305,16 @@ def test_limit_moment_is_series_limit():
         value = 2000.0**beta * moment_series(d, beta, 2000.0)
         target = float(limit_moment(d, beta))
         assert abs(value - target) / target < 0.02
+
+
+@pytest.mark.parametrize("beta", [0, -1, 1.0, 2.5, "1"])
+@pytest.mark.parametrize("call", [lambda beta: moment_series(2, beta, 1.0),
+                                  lambda beta: limit_moment(2, beta)],
+                         ids=["moment_series", "limit_moment"])
+def test_moment_functions_reject_a_beta_that_is_not_a_positive_integer(call, beta):
+    message = f"beta must be a positive integer, got {beta!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(beta)
 
 
 # ---------------------------------------------------------------------------

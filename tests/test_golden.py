@@ -114,9 +114,9 @@ LIBRARY_CASES = {
         "insertion", 2, 60, 5000, seed=SEED, label="golden:insertion").tobytes()),
     # one chunk of 2,500 replicates x 1,000 marks x d=2: 5 million doubles
     "chain-flag-totals": lambda: samplers.sample_chain_flag_totals(
-        2, 1000, 2500, seed=SEED, label="golden:flags").tobytes(),
+        2, 1000, 2500, seed=SEED, label="golden:flags")[1].tobytes(),
     "chain-flag-totals-chunks": _chunks_of(1500)(lambda: samplers.sample_chain_flag_totals(
-        3, 20, 5000, seed=SEED, label="golden:flags", workers=2).tobytes()),
+        3, 20, 5000, seed=SEED, label="golden:flags", workers=2)[1].tobytes()),
     "window-counts": _chunks_of(128)(lambda: samplers.sample_window_counts(
         2, (0.25, 1.0, 4.0), 300, seed=SEED, label="golden:window").tobytes()),
     "simulate-direct-traces": lambda: _traces(

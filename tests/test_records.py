@@ -1,6 +1,7 @@
 """Detector tests against a brute-force oracle that rescans the history."""
 
 import math
+import re
 from collections import namedtuple
 
 import numpy as np
@@ -217,6 +218,34 @@ def test_a_scalar_mark_is_a_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch at index 1: got a scalar, expected 1"):
         RecordDetector(1).extend([0.5, 0.3])
     assert det.index == 1 and det.pareto_front == ((0.5, 0.5),)
+
+
+@pytest.mark.parametrize("marks, got", [
+    ([[[0.1], [0.2]]], "shape (2, 1)"),  # numpy reads it as a (1, 2, 1) block
+    ([(0.5, 0.5), np.full((2, 1), 0.3)], "shape (2, 1)"),
+    ([(0.5, 0.5), [[0.1, 0.2]]], "shape (1, 2)"),
+    ([(0.1, (0.2, 0.3))], "a ragged sequence"),  # numpy rejects the whole input
+    ([(0.5, 0.5), (0.1, (0.2, 0.3))], "a ragged sequence"),
+], ids=["column", "column-second", "row-second", "ragged", "ragged-second"])
+def test_a_mark_of_another_shape_is_a_dimension_mismatch(marks, got):
+    det = RecordDetector(2)
+    det.process((0.9, 0.9))
+    k = 1 + len(marks)  # the last mark is the bad one
+    with pytest.raises(ValueError, match=re.escape(
+            f"dimension mismatch at index {k}: got {got}, expected 2")):
+        det.extend(marks)
+    assert det.index == 1 and det.pareto_front == ((0.9, 0.9),)
+
+
+def test_a_mark_numpy_cannot_read_keeps_numpys_error():
+    # every mark has shape (dim,), so the scan names none
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        RecordDetector(2).extend([(0.5, 0.5), ("a", "b")])
+
+
+@pytest.mark.parametrize("empty", [[], (), np.empty((0, 2)), np.empty((0, 5))])
+def test_extend_of_no_marks_has_one_flag_column_per_coordinate(empty):
+    assert RecordDetector(3).extend(empty).shape == (0, 6)
 
 
 def test_extend_of_no_marks_changes_nothing():

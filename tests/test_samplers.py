@@ -183,13 +183,28 @@ def test_direct_mean_count_matches_exact():
 
 def test_direct_per_index_probabilities():
     reps = 30000
-    totals = samplers.sample_chain_flag_totals(2, 10, reps, seed=SEED, label="test:flags")
+    _, totals = samplers.sample_chain_flag_totals(2, 10, reps, seed=SEED, label="test:flags")
     table = exact.chain_record_prob_table(2, 10)
     assert totals[0] == reps
     for n in range(2, 11):
         phat = totals[n - 1] / reps
         se = math.sqrt(phat * (1 - phat) / reps)
         assert abs(phat - float(table[n - 1])) < 4 * se
+
+
+@pytest.mark.parametrize("chunk", [None, 700])
+def test_flag_totals_count_what_the_direct_counts_driver_counts(chunk, monkeypatch):
+    # c06 tests these counts against the other simulators, c07 their totals
+    # against the exact engine: one draw serves both
+    if chunk is not None:
+        monkeypatch.setattr(samplers, "_CHUNK", chunk)  # four full chunks and a short one
+    for d, n in ((1, 10), (2, 100), (3, 65)):
+        kwargs = dict(seed=SEED, label=f"test:flags:d={d}:n={n}")
+        counts, totals = samplers.sample_chain_flag_totals(d, n, 3000, workers=2, **kwargs)
+        assert np.array_equal(counts, sample_chain_counts("direct", d, n, 3000, **kwargs))
+        assert counts.dtype == totals.dtype == np.int64
+        assert totals.shape == (n,) and totals[0] == 3000
+        assert counts.sum() == totals.sum()
 
 
 def test_direct_kernel_sub_blocks_match_one_block_and_the_scalar_scan(monkeypatch):

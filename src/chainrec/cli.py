@@ -89,13 +89,18 @@ def _window(text: str) -> tuple[float, float, float]:
     return s_lo, s_hi, t_hi
 
 
-def _worker_count(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+def _int_at_least(low: int):
+    """Argument type: an integer of at least ``low`` (worker counts, seeds)."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+
+    return parse
 
 
 def _resolve_out(out: str | None) -> Path | None:
@@ -468,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help=f"output path (relative paths resolve under ${ENV_OUT_DIR})")
 
     def workers(p):
-        p.add_argument("--workers", type=_worker_count, default=1,
+        p.add_argument("--workers", type=_int_at_least(1), default=1,
                        help="worker threads, never changes results (default %(default)s)")
 
     p = sub.add_parser("detect", help="classify a CSV of marks by record type")
@@ -497,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b0", type=float, default=1.0,
                    help="initial state of the paced process (default %(default)s)")
     p.add_argument("--replicates", type=int, required=True, help="number of replicates")
-    p.add_argument("--seed", type=int, required=True, help="root seed")
+    p.add_argument("--seed", type=_int_at_least(0), required=True, help="root seed")
     workers(p)
     p.add_argument("--truncation-tol", type=float, default=1e-6,
                    help="series tolerance for limit-variable (default %(default)s)")
@@ -511,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="y: one float per line; window: CSV xi,sigma")
     p.add_argument("--d", type=int, required=True, help="dimension")
     p.add_argument("--replicates", type=int, help="number of draws (kind y)")
-    p.add_argument("--seed", type=int, required=True, help="root seed")
+    p.add_argument("--seed", type=_int_at_least(0), required=True, help="root seed")
     p.add_argument("--window", type=_window, help="s_lo,s_hi,t_hi rectangle (kind window)")
     defaults = ", ".join(f"{tol:g} for {kind}" for kind, (_, tol) in _LIMIT_KINDS.items())
     p.add_argument("--truncation-tol", type=float,
@@ -522,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite and write a report")
     common(p)
     p.add_argument("--suite", default="all", help="suite name (default %(default)s)")
-    p.add_argument("--seed", type=int, help="root seed (default fixed)")
+    p.add_argument("--seed", type=_int_at_least(0), help="root seed (default fixed)")
     workers(p)
     p.add_argument("--tolerance", action="append", type=_tolerance, metavar="KEY=VAL",
                    help="override a criterion tolerance, e.g. c10-mean=0.1")

@@ -1,6 +1,6 @@
 """Deterministic random streams for reproducible parallel Monte Carlo.
 
-Every stream is a counter-based Philox generator keyed by
+Every stream is a PCG64DXSM generator keyed through ``SeedSequence`` by
 ``(seed, stream, substream)``: the output sequence is a pure function of
 that triple, and distinct keys give statistically independent streams.
 Batch drivers give chunk i of a task the key
@@ -14,8 +14,6 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def stream_id(label: str) -> int:
     """Stable 64-bit stream id for a task label.
@@ -28,9 +26,8 @@ def stream_id(label: str) -> int:
 
 
 def make_stream(seed: int, stream: int = 0, substream: int = 0) -> np.random.Generator:
-    """Generator for the stream keyed by ``(seed, stream, substream)``."""
-    seq = np.random.SeedSequence(
-        entropy=int(seed) & _MASK64,
-        spawn_key=(int(stream) & _MASK64, int(substream) & _MASK64),
-    )
-    return np.random.Generator(np.random.Philox(seq))
+    """Generator for the stream keyed by ``(seed, stream, substream)``, all non-negative."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream), int(substream)))
+    return np.random.Generator(np.random.PCG64DXSM(seq))

@@ -27,15 +27,17 @@ that stop early keep an index array of the rows still active, and the
 insertion kernel draws a height factor only for each row a term hit.
 Each kernel's docstring gives its draw order.
 
-Scalar functions take a generator from :func:`chainrec.rng.make_stream`
-and are pure given that stream.  Every batch result -- the ``sample_*``
-functions -- comes from one driver, :func:`_run_chunked`: chunk i of a
-task draws from substream i of the task's label and chunk results are
-merged in chunk order, so output is bit-identical for any worker count.
+Scalar functions take a generator from :func:`chainrec.rng.make_stream`,
+a PCG64DXSM stream keyed through ``SeedSequence``, and are pure given it.
+Every batch result -- the ``sample_*`` functions -- comes from one
+driver, :func:`_run_chunked`: chunk i of a task draws from substream i of
+the task's label and chunk results are merged in chunk order, so output
+is bit-identical for any worker count.
 Sizes are constants, not options, as chunk sizes decide which substream
 draws each replicate: ``_CHUNK`` replicates per chunk for every driver and
 ``_SCAN_BLOCK`` for the scan.  The driver does not bound memory; each
-kernel does, by its sub-blocks, tiles or active rows.
+kernel does, by its tiles or active rows: the direct kernel holds one
+index-major tile of ``_TILE`` indices at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from chainrec.rng import make_stream, stream_id
 
 _CHUNK = 8192  # replicates per chunk of every batch driver
 _SCAN_BLOCK = 1 << 16  # marks per block of the growing-block direct scan
-_SUB_BLOCK = 1 << 22  # doubles drawn at once by the direct block kernel: its memory bound
 _TILE = 64  # indices per contiguous tile of the direct and insertion kernels
 
 
@@ -244,40 +245,41 @@ def _log_sum_rows(u):
 
 
 def _height_factor_column(gen, d, m):
-    return np.exp(_log_sum_rows(gen.random((m, d))))
+    """m height factors U1*...*Ud, one per row of an (m, d) uniform draw.
+
+    Column products give ``prod(axis=1)`` bit for bit, several times faster.
+    """
+    u = gen.random((m, d))
+    factors = u[:, 0].copy()
+    for c in range(1, d):
+        factors *= u[:, c]
+    return factors
 
 
 def _direct_counts_chunk(gen, d, n, m):
     """Direct detection on m replicates of n marks.
 
     Returns the per-replicate counts and a (1, n) row whose entry j counts
-    the replicates with a chain record at index j+1.  Replicates are drawn
-    in consecutive (k, n, d) sub-blocks of at most ``_SUB_BLOCK`` doubles
-    (32 MB), one alive at a time, which consume the stream exactly as one
-    (m, n, d) draw would.
-    Each sub-block is scanned in tiles of ``_TILE`` indices, transposed
-    to a contiguous (_TILE, d, k) copy, so that every per-index step
-    compares contiguous (d, k) rows and reduces over the d rows only.  A
-    tile holds at most _TILE/n of its sub-block: 2^31/n bytes, 2.1 MB at
-    n = 1000.
+    the replicates with a chain record at index j+1.  Draw order: index
+    major, one (T, d, m) array per tile of T <= ``_TILE`` indices, so every
+    per-index step compares contiguous (d, m) rows and reduces over the d
+    rows only.  The kernel holds one tile, ``_TILE*d*m`` doubles (8 MB at
+    d=2 and m=8192), whatever n is.  At m=1 it draws what
+    :func:`_direct_scan` draws.
     """
     counts = np.ones(m, dtype=np.int64)
     totals = np.zeros((1, n), dtype=np.int64)
     totals[0, 0] = m
-    step = max(1, _SUB_BLOCK // (n * d))
-    for lo in range(0, m, step):
-        u = gen.random((min(step, m - lo), n, d))
-        rec = u[:, 0, :].T.copy()
-        block_counts = counts[lo : lo + len(u)]
-        for t0 in range(0, n, _TILE):
-            tile = np.ascontiguousarray(u[:, t0 : t0 + _TILE, :].transpose(1, 2, 0))
-            for j in range(max(t0, 1), t0 + len(tile)):
-                x = tile[j - t0]
-                beat = (x <= rec).all(axis=0) & (x < rec).any(axis=0)
-                block_counts += beat
-                totals[0, j] += np.count_nonzero(beat)
-                np.copyto(rec, x, where=beat)
-        del u, tile  # free this sub-block before the next one is drawn
+    for t0 in range(0, n, _TILE):
+        tile = gen.random((min(_TILE, n - t0), d, m))
+        if t0 == 0:
+            rec = tile[0].copy()
+        for j in range(max(t0, 1), t0 + len(tile)):
+            x = tile[j - t0]
+            beat = (x <= rec).all(axis=0) & (x < rec).any(axis=0)
+            counts += beat
+            totals[0, j] = np.count_nonzero(beat)
+            np.copyto(rec, x, where=beat)
     return counts, totals
 
 

@@ -64,6 +64,7 @@ TOLERANCES = {
     "c10-mean": ("bound", 0.05),
     "c10-var": ("bound", 0.15),
     "c11": ("level", 0.01),
+    "c11-mean": ("bound", 4.0),
     "c12": ("bound", 0.0),
 }
 
@@ -335,8 +336,15 @@ def c10_growth_slopes(seed, workers=1):
 # limit suite
 
 
+# the exact mean count of c11's base window at d=2, and so of its image
+_C11_WINDOW_MEAN = 0.5318795864410745
+
+
 def c11_hyperbolic_invariance(seed, workers=1):
-    """Window counts of the limit process are invariant under (s,t)->(2s,t/2)."""
+    """Window counts of the limit process are invariant under (s,t)->(2s,t/2).
+
+    The same draws bound each window's mean count against its exact value.
+    """
     reps = 10_000
     base = (0.25, 1.0, 4.0)
     image = (0.5, 2.0, 2.0)  # the base window mapped by (s, t) -> (2s, t/2)
@@ -352,7 +360,14 @@ def c11_hyperbolic_invariance(seed, workers=1):
             "limit-process window counts are invariant under hyperbolic shifts",
             f"chi-square on counts in a window vs its (2s, t/2) image, {reps} draws each",
             [stats.two_sample_test(counts_a, counts_b).pvalue],
-        )
+        ),
+        (
+            "c11-mean",
+            "limit-process window counts have the exact mean",
+            f"|z| of each window's mean count vs the exact mean {_C11_WINDOW_MEAN:.6f}",
+            [_z_score(float(c.mean()), _C11_WINDOW_MEAN, float(c.std(ddof=1)), reps)
+             for c in (counts_a, counts_b)],
+        ),
     ]
 
 

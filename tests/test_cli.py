@@ -358,6 +358,19 @@ def test_simulate_count_mean_near_exact(tmp_path):
     assert "estimator,value,std_error,replicates,seed" in csv_text
 
 
+def test_seeds_that_differ_by_2_to_the_64_draw_different_samples(tmp_path):
+    # the seed is recorded as given, so it must also be drawn as given
+    values = {}
+    for seed in (0, 2**64, 2**64 - 1):
+        out = tmp_path / f"seed{seed}"
+        assert main(["simulate", "--method", "direct", "--d", "2", "--n", "50",
+                     "--replicates", "200", "--seed", str(seed), "--out", str(out)]) == 0
+        doc = json.loads(out.with_name(out.name + ".json").read_text())
+        assert doc["seed"] == seed
+        values[seed] = doc["value"], doc["std_error"]
+    assert len(set(values.values())) == 3, values
+
+
 def test_simulate_is_reproducible_across_workers(tmp_path):
     base = ["simulate", "--what", "chain-count", "--d", "2", "--n", "50",
             "--replicates", "3000", "--seed", "7"]
@@ -741,9 +754,17 @@ def test_an_override_the_suite_does_not_read_is_checked_but_not_recorded(tmp_pat
          "argument --window: expected s_lo,s_hi,t_hi, got '1,2'"),
         (["limits", "--kind", "window", "--d", "2", "--seed", "1"], ("window", "a,b,c"),
          "argument --window: expected s_lo,s_hi,t_hi, got 'a,b,c'"),
+        # a seed keys a stream as it is, never reduced modulo 2^64: it is at least 0
+        (["simulate", "--d", "2", "--n", "5", "--replicates", "3"], ("seed", "-1"),
+         "argument --seed: expected an integer of at least 0, got '-1'"),
+        (["limits", "--kind", "y", "--d", "2", "--replicates", "3"], ("seed", "-3"),
+         "argument --seed: expected an integer of at least 0, got '-3'"),
+        (["verify", "--suite", "exact"], ("seed", "-1"),
+         "argument --seed: expected an integer of at least 0, got '-1'"),
     ],
     ids=["d", "method", "tolerance", "tolerance-without-value", "simulate-workers",
-         "limits-workers", "verify-workers", "window-of-two-values", "window-not-numeric"],
+         "limits-workers", "verify-workers", "window-of-two-values", "window-not-numeric",
+         "simulate-seed", "limits-seed", "verify-seed"],
 )
 def test_a_bad_value_is_a_usage_error_from_a_flag_or_a_config_line(
     tmp_path, monkeypatch, capsys, source, argv, option, message
@@ -911,7 +932,7 @@ def test_verify_rejects_an_unknown_tolerance_key(tmp_path, monkeypatch, capsys):
     argv = ["verify", "--suite", "exact", "--tolerance", "c6=0.5", "--tolerance", "bogus=1"]
     assert main(argv) == 1
     keys = ["c01", "c02", "c03", "c04", "c05", "c06", "c07", "c08", "c09",
-            "c10-mean", "c10-var", "c11", "c12"]
+            "c10-mean", "c10-var", "c11", "c11-mean", "c12"]
     assert capsys.readouterr().err == f"error: unknown tolerance key 'c6'; choose from {keys}\n"
     assert not out_dir.exists()
 

@@ -57,6 +57,25 @@ def test_identical_streams_give_identical_traces():
     )
 
 
+def test_streams_are_pcg64dxsm_keyed_by_the_seed_sequence_triple():
+    gen = make_stream(3, 7, 2)
+    assert isinstance(gen.bit_generator, np.random.PCG64DXSM)
+    keyed = np.random.PCG64DXSM(np.random.SeedSequence(3, spawn_key=(7, 2)))
+    assert gen.bit_generator.state == keyed.state
+    assert make_stream(3, 7, 2).random(8).tolist() == gen.random(8).tolist()
+    # seeds are not reduced modulo 2^64: 2^64 has a stream of its own
+    triples = [(0, 0, 0), (2**64, 0, 0), (1, 0, 0), (2**64 - 1, 0, 0), (0, 1, 0), (0, 0, 1),
+               (0, 2**64 - 1, 0), (3, 7, 2), (3, 2, 7)]
+    firsts = {make_stream(*key).random(4).tobytes() for key in triples}
+    assert len(firsts) == len(triples)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64)])
+def test_a_negative_seed_is_rejected(seed):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        make_stream(seed)
+
+
 def test_batch_counts_independent_of_worker_count(monkeypatch):
     # 3,000 replicates in chunks of 700: four full chunks and a short one
     monkeypatch.setattr(samplers, "_CHUNK", 700)
@@ -133,7 +152,7 @@ def test_height_factor_moments():
     draws = np.array([samplers._height_factor_column(gen, 1, 1)[0] for _ in range(20000)])
     assert zscore(draws, 0.5) < 4
     gen = make_stream(SEED, 2)
-    d2 = np.exp(np.log(gen.random((100000, 2))).sum(axis=1))
+    d2 = samplers._height_factor_column(gen, 2, 100000)
     assert zscore(d2, float(mellin(2, 1))) < 4
 
 
@@ -150,10 +169,18 @@ def test_height_factor_log_moments():
 def test_height_factor_matches_cdf():
     gen = make_stream(SEED, 15)
     for d in (2, 3):
-        draws = np.exp(np.log(gen.random((20000, d))).sum(axis=1))
+        draws = samplers._height_factor_column(gen, d, 20000)
         res = scipy.stats.kstest(draws, lambda s, d=d: np.vectorize(
             lambda u: height_factor_cdf(d, max(u, 1e-300)))(s))
         assert res.pvalue > 1e-3, (d, res)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_height_factor_is_the_row_product_bit_for_bit(d):
+    factors = samplers._height_factor_column(make_stream(SEED, 16), d, 5000)
+    u = make_stream(SEED, 16).random((5000, d))
+    assert factors.tobytes() == u.prod(axis=1).tobytes()
+    assert factors[:100].tolist() == [math.prod(row) for row in u[:100]]
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +234,6 @@ def test_flag_totals_count_what_the_direct_counts_driver_counts(chunk, monkeypat
         assert counts.sum() == totals.sum()
 
 
-def test_direct_kernel_sub_blocks_match_one_block_and_the_scalar_scan(monkeypatch):
-    d, n, m = 2, 300, 50
-    one_block = samplers._direct_counts_chunk(make_stream(SEED, 34), d, n, m)
-    monkeypatch.setattr(samplers, "_SUB_BLOCK", 7 * n * d)  # 7 replicates per draw
-    sub_blocked = samplers._direct_counts_chunk(make_stream(SEED, 34), d, n, m)
-    assert all(np.array_equal(a, b) for a, b in zip(one_block, sub_blocked))
-    # replicate r of a chunk is the r-th scalar scan of the same stream
-    gen = make_stream(SEED, 34)
-    scans = [samplers._direct_scan(gen, d, n)[0] for _ in range(m)]
-    assert one_block[0].tolist() == [len(times) for times in scans]
-    flags = np.bincount([t - 1 for times in scans for t in times], minlength=n)
-    assert one_block[1].tolist() == [flags.tolist()]
-
-
 class GridStream:
     """Generator stub: the uniforms of ``gen`` floored to a grid of 4 values.
 
@@ -244,13 +257,31 @@ def _stream(grid, key):
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_tiled_direct_kernel_equals_the_scalar_scan(d, n, grid):
+    # at m=1 the index-major tiles are the scan's marks in mark order
+    for key in range(5):
+        counts, totals = samplers._direct_counts_chunk(_stream(grid, 35 + key), d, n, 1)
+        times, _ = samplers._direct_scan(_stream(grid, 35 + key), d, n)
+        assert counts.tolist() == [len(times)]
+        assert (np.flatnonzero(totals[0]) + 1).tolist() == times
+
+
+def _tiled_marks(gen, d, n, m):
+    """The (n, d, m) marks of the direct kernel: one (T, d, m) tile per ``_TILE`` indices."""
+    return np.concatenate([gen.random((min(samplers._TILE, n - t0), d, m))
+                           for t0 in range(0, n, samplers._TILE)])
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_tiled_direct_kernel_equals_a_per_column_oracle(d, n, grid):
+    # replicate r is column r of every tile, scanned one comparison at a time
     m = 40
-    counts, totals = samplers._direct_counts_chunk(_stream(grid, 35), d, n, m)
-    # replicate r of a chunk is the r-th scalar scan of the same stream
-    gen = _stream(grid, 35)
-    scans = [samplers._direct_scan(gen, d, n)[0] for _ in range(m)]
-    assert counts.tolist() == [len(times) for times in scans]
-    flags = np.bincount([t - 1 for times in scans for t in times], minlength=n)
+    counts, totals = samplers._direct_counts_chunk(_stream(grid, 36), d, n, m)
+    marks = _tiled_marks(_stream(grid, 36), d, n, m)
+    records = [chain_record_indices(marks[:, :, r].tolist()) for r in range(m)]
+    assert counts.tolist() == [len(times) for times in records]
+    flags = np.bincount([t - 1 for times in records for t in times], minlength=n)
     assert totals.tolist() == [flags.tolist()]
 
 
@@ -448,21 +479,18 @@ def _insertion_scan(rng, d, n):
 
     Draws as the insertion kernel does at m=1: the first height, then the
     screened terms 2..n in tiles of ``_TILE`` uniforms, and a height factor
-    at each hit.  Returns the screened uniforms, the heights that replaced
-    terms (one per replaced term, decreasing) and the log of the last
-    height.
+    at each hit.  Returns the screened uniforms and the heights that
+    replaced terms (one per replaced term, decreasing).
     """
-    log_h = float(np.log(rng.random(d)).sum())
-    heights = [math.exp(log_h)]
+    heights = [math.prod(rng.random(d))]
     screened = []
     for t0 in range(1, n, samplers._TILE):
         tile = rng.random(min(samplers._TILE, n - t0))
         for x in tile:
             if x < heights[-1]:
-                log_h += float(np.log(rng.random(d)).sum())
-                heights.append(math.exp(log_h))
+                heights.append(heights[-1] * math.prod(rng.random(d)))
         screened.extend(tile)
-    return np.array(screened), heights, log_h
+    return np.array(screened), heights
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -470,7 +498,7 @@ def test_insertion_kernel_equals_the_scalar_scan(d):
     for i in range(1000):
         n = 50 + 50 * (i % 10)
         count = samplers._insertion_counts_chunk(make_stream(SEED, 71, i), d, n, 1)
-        _, heights, _ = _insertion_scan(make_stream(SEED, 71, i), d, n)
+        _, heights = _insertion_scan(make_stream(SEED, 71, i), d, n)
         assert count.tolist() == [len(heights)], (i, n)
 
 
@@ -484,7 +512,7 @@ def _insertion_rows(draws, d, n, m):
     draws = iter(draws)
     name, first = next(draws)
     assert name == "random" and first.shape == (m, d)
-    thresh = [np.exp(np.log(f).sum()) for f in first]
+    thresh = [math.prod(f) for f in first]
     counts = [1] * m
     for t0 in range(1, n, samplers._TILE):
         name, tile = next(draws)
@@ -496,7 +524,7 @@ def _insertion_rows(draws, d, n, m):
             name, factors = next(draws)
             assert name == "random" and factors.shape == (len(hit), d)
             for r, f in zip(hit, factors):
-                thresh[r] = thresh[r] * np.exp(np.log(f).sum())
+                thresh[r] = thresh[r] * math.prod(f)
                 counts[r] += 1
     assert next(draws, None) is None
     return counts
@@ -554,10 +582,10 @@ def test_insertion_kernel_draws_at_most_one_tile_at_a_time():
     assert max(gen.sizes) <= samplers._TILE * samplers._CHUNK
 
 
-def test_direct_kernel_draws_at_most_one_sub_block_at_a_time():
+def test_direct_kernel_draws_at_most_one_tile_at_a_time():
     gen = DrawSizes(make_stream(SEED, 74))
     samplers._direct_counts_chunk(gen, 3, 4096, samplers._CHUNK)
-    assert max(gen.sizes) <= samplers._SUB_BLOCK
+    assert max(gen.sizes) <= samplers._TILE * 3 * samplers._CHUNK
 
 
 @pytest.mark.parametrize("window", [(0.25, 1.0, 4.0), (0.5, 2.0, 2.0)])
@@ -714,11 +742,10 @@ def test_insertion_renewal_sandwich():
     n = 100
     triples = []
     for _ in range(10000):
-        u, heights, log_h = _insertion_scan(gen, 2, n)
+        u, heights = _insertion_scan(gen, 2, n)
         count = len(heights)
         while heights[-1] > 1 / n:
-            log_h += float(np.log(gen.random(2)).sum())
-            heights.append(math.exp(log_h))
+            heights.append(heights[-1] * math.prod(gen.random(2)))
         triples.append((count, sum(h > 1 / n for h in heights), int((u < 1 / n).sum())))
     count, renewal, below = np.array(triples).T
     assert (count <= renewal + below + 1).all()
@@ -742,7 +769,7 @@ def _paced_path(gen, d, t_end, b0):
         if t > t_end:
             return jumps, states
         jumps.append(t)
-        states.append(states[-1] * np.exp(np.log(gen.random((1, d))).sum(axis=1))[0])
+        states.append(states[-1] * math.prod(gen.random(d)))
 
 
 def test_poisson_paced_path_structure():
@@ -791,7 +818,7 @@ def _paced_rows(draws, d, t_end, b0, m):
             jumped.append(r)
         assert factors.shape == (len(jumped), d)
         for r, f in zip(jumped, factors):
-            b[r] = b[r] * np.exp(np.log(f).sum())
+            b[r] = b[r] * math.prod(f)
         active = jumped
     assert not active
     return counts, integral, b
@@ -930,7 +957,7 @@ def _limit_rows(draws, d, tolerance, m):
     for (_, factors), (_, exponentials) in zip(steps[::2], steps[1::2]):
         assert factors.shape == (len(active), d) and len(exponentials) == len(active)
         for r, f, e in zip(active, factors, exponentials):
-            p[r] = p[r] * np.exp(np.log(f).sum())
+            p[r] = p[r] * math.prod(f)
             y[r] = y[r] + e * p[r]
             depth[r] += 1
         active = [r for r in active if p[r] * tail_ratio >= tolerance]
@@ -1101,10 +1128,17 @@ def test_window_mean_check_catches_arrival_times_ten_percent_late(monkeypatch):
         return rows, xi, 1.1 * sigma
 
     monkeypatch.setattr(samplers, "_window_points_chunk", late)
-    [c11] = [verify._judge(m, {}) for m in verify.c11_hyperbolic_invariance(verify.DEFAULT_SEED)]
+    # c11-mean sees it on c11's own draws (tests/test_acceptance.py)
+    c11 = verify._judge(verify.c11_hyperbolic_invariance(verify.DEFAULT_SEED)[0], {})
     assert c11.passed, c11
     for window in _MEAN_WINDOWS[:2]:
         assert _window_mean_z(2, window) > 4, window
+
+
+def test_c11_window_mean_is_the_exact_mean_of_both_windows():
+    # the image window has the base window's mean, by the invariance c11 tests
+    for window in _MEAN_WINDOWS[:2]:
+        assert window_mean(2, window) == pytest.approx(verify._C11_WINDOW_MEAN, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("window, tol", [

@@ -26,8 +26,13 @@ def stream_id(label: str) -> int:
 
 
 def make_stream(seed: int, stream: int = 0, substream: int = 0) -> np.random.Generator:
-    """Generator for the stream keyed by ``(seed, stream, substream)``, all non-negative."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    """Generator for the key ``(seed, stream, substream)`` in [0, 2^128) x [0, 2^64) x [0, 2^32).
+
+    ``SeedSequence`` flattens a key into 32-bit words, not recording how
+    many each integer took: wider keys could share their words.
+    """
+    for name, value, bits in (("seed", seed, 128), ("stream", stream, 64), ("substream", substream, 32)):
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"{name} must be >= 0 and below 2^{bits}, got {value}")
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream), int(substream)))
     return np.random.Generator(np.random.PCG64DXSM(seq))

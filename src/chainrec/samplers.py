@@ -22,6 +22,13 @@ kernel).  Two laws keep a second path, held equal to the first by tests:
   each slow to bring back into cache after other array work, which would
   cost the sojourn simulator its speed at large n.
 
+Every height factor, the product U1*...*Ud by which a stick-breaking step
+multiplies a height, is one :func:`_height_factor_column` draw; the
+log-space kernels (sojourn, renewal, window) take its log, and one that
+underflows to 0 ends its row.  The two gamma draws are other laws:
+``_straddle``'s Gamma(d+1), whose product form would underflow from d near
+700, and the limit kernel's stationary Gamma(k), k varying per row.
+
 A kernel draws a value only for a replicate that uses it: the kernels
 that stop early keep an index array of the rows still active, and the
 insertion kernel draws a height factor only for each row a term hit.
@@ -145,10 +152,12 @@ def simulate_direct(rng: np.random.Generator, d: int, n: int) -> ChainRecordTrac
     return ChainRecordTrace(tuple(times), tuple(heights), n, d)
 
 
+@np.errstate(divide="ignore")
 def simulate_sojourn(rng: np.random.Generator, d: int, n: int) -> ChainRecordTrace:
     """Chain-record trace equal in law to the direct one, in O(log(n)/d).
 
-    Heights are stick-breaking products carried in log space; the sojourn
+    Heights are stick-breaking products carried in log space, each factor
+    the log of a :func:`_height_factor_column` draw at m=1; the sojourn
     to the next record is geometric on {1,2,...} with success probability
     equal to the current height, drawn by inverse CDF
     ceil(log(1-V)/log1p(-h)) so that heights near underflow stay safe.
@@ -160,24 +169,19 @@ def simulate_sojourn(rng: np.random.Generator, d: int, n: int) -> ChainRecordTra
     differ.  Both are draws of the same law.
     """
     _check_horizon(d, n)
-    log_h = float(np.log(rng.random(d)).sum())
-    times = [1]
-    heights = [math.exp(log_h)]
-    t = 1
+    times, heights, t, log_h = [], [], 1, 0.0
     while True:
-        h = heights[-1]
+        log_h += float(np.log(_height_factor_column(rng, d, 1))[0])
+        times.append(t)
+        heights.append(math.exp(log_h))
         v = float(rng.random())
-        denom = math.log1p(-h)
+        denom = math.log1p(-heights[-1])
         if denom == 0.0:
             # height underflowed: the next sojourn exceeds any feasible horizon
             break
-        gap = max(1, math.ceil(math.log1p(-v) / denom))
-        t += gap
+        t += max(1, math.ceil(math.log1p(-v) / denom))
         if t > n:
             break
-        log_h += float(np.log(rng.random(d)).sum())
-        times.append(t)
-        heights.append(math.exp(log_h))
     return ChainRecordTrace(tuple(times), tuple(heights), n, d)
 
 
@@ -227,23 +231,6 @@ def _run_chunked(chunk_fn, total, seed, label, workers):
     return np.concatenate(parts)
 
 
-def _log_sum_rows(u):
-    """``np.log(u).sum(axis=1)`` for an (m, d) array, bit for bit.
-
-    Below 8 columns numpy adds a row's terms left to right, so adding whole
-    log columns gives the same doubles without a reduction over the short
-    axis.  From 8 columns numpy adds in pairwise blocks, which column adds
-    would not reproduce, so the reduction stays.
-    """
-    logs = np.log(u)
-    if u.shape[1] >= 8:
-        return logs.sum(axis=1)
-    total = logs[:, 0].copy()
-    for c in range(1, u.shape[1]):
-        total += logs[:, c]
-    return total
-
-
 def _height_factor_column(gen, d, m):
     """m height factors U1*...*Ud, one per row of an (m, d) uniform draw.
 
@@ -283,6 +270,7 @@ def _direct_counts_chunk(gen, d, n, m):
     return counts, totals
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _sojourn_counts_chunk(gen, d, n, m):
     """The sojourn kernel: chain-record counts of m replicates, O(log(n)/d) steps.
 
@@ -300,25 +288,20 @@ def _sojourn_counts_chunk(gen, d, n, m):
     if n > top:
         raise ValueError(f"the sojourn kernel counts up to n = 2^63 - 1024 = {int(top)}, got n = {n}")
     counts = np.empty(m, dtype=np.int64)
-    rows = np.arange(m)
-    t = np.ones(m, dtype=np.int64)
-    log_h = _log_sum_rows(gen.random((m, d)))
-    records = 1
-    while True:
+    rows, t, log_h = np.arange(m), np.ones(m, dtype=np.int64), np.zeros(m)  # the active rows
+    records = 0
+    while rows.size:
+        records += 1
+        log_h = log_h + np.log(_height_factor_column(gen, d, rows.size))
         v = gen.random(rows.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.ceil(np.log1p(-v) / np.log1p(-np.exp(log_h)))
+        gap = np.ceil(np.log1p(-v) / np.log1p(-np.exp(log_h)))
         # an underflowed height's nan or inf gap goes to top, then to the room left
         gap = np.maximum(np.where(gap < top, gap, top), 1.0)
         t = t + np.minimum(gap.astype(np.int64), n + 1 - t)
-        landed = np.flatnonzero(t <= n)
         counts[rows[np.flatnonzero(t > n)]] = records
-        rows = rows[landed]
-        if not rows.size:
-            return counts
-        records += 1
-        t = t[landed]
-        log_h = log_h[landed] + _log_sum_rows(gen.random((rows.size, d)))
+        landed = np.flatnonzero(t <= n)
+        rows, t, log_h = rows[landed], t[landed], log_h[landed]
+    return counts
 
 
 def _insertion_counts_chunk(gen, d, n, m):
@@ -346,6 +329,7 @@ def _insertion_counts_chunk(gen, d, n, m):
     return counts
 
 
+@np.errstate(divide="ignore")
 def _renewal_counts_chunk(gen, d, n, m):
     """Renewal counts of m replicates: stick-breaking heights above 1/n.
 
@@ -354,15 +338,13 @@ def _renewal_counts_chunk(gen, d, n, m):
     """
     log_n = math.log(n)
     counts = np.zeros(m, dtype=np.int64)
-    rows = np.arange(m)
-    x = -_log_sum_rows(gen.random((m, d)))  # -log of each active row's height
-    while True:
+    rows, x = np.arange(m), np.zeros(m)  # the active rows and -log of their heights
+    while rows.size:
+        x = x - np.log(_height_factor_column(gen, d, rows.size))
         above = np.flatnonzero(x < log_n)
-        rows = rows[above]
-        if not rows.size:
-            return counts
+        rows, x = rows[above], x[above]
         counts[rows] += 1
-        x = x[above] - _log_sum_rows(gen.random((rows.size, d)))
+    return counts
 
 
 def _poisson_paced_chunk(gen, d, t_end, b0, m):
@@ -406,7 +388,8 @@ def _limit_variable_chunk(gen, d, tolerance, m):
     rows only, so the kernel draws ``depth.sum()`` height-factor rows in
     all, and at m=1 it draws what a lone series draws.
     """
-    tail_ratio = 1.0 / (2**d - 1)
+    t = math.ldexp(1.0, -d)
+    tail_ratio = t / (1 - t)  # 1/(2^d - 1), which overflows from d = 1024
     shapes = gen.integers(1, d + 1, size=m)
     p = np.exp(-gen.standard_gamma(shapes))
     y = gen.standard_exponential(m) * p
@@ -428,6 +411,7 @@ def _limit_variable_chunk(gen, d, tolerance, m):
     return y, depth
 
 
+@np.errstate(divide="ignore", over="ignore")
 def _window_points_chunk(gen, d, window, truncation_tol, m):
     """The window kernel: the in-window points of m limit-process draws.
 
@@ -436,10 +420,11 @@ def _window_points_chunk(gen, d, window, truncation_tol, m):
     truncated when its expected remainder bound (1/height)/(e^d - 1) -- a
     typical-growth approximation using realized heights -- falls below
     ``truncation_tol``.  Each step draws only for the rows still active:
-    the straddle of level 1, the backward Gamma(d) steps under that
+    the straddle of level 1, the backward height-factor steps under that
     stopping rule, one exponential per grid point from each row's deepest
-    point up, then the forward steps until the arrival time passes
-    ``t_hi`` or the height drops below ``s_lo``.
+    point up, then the forward steps, each a height factor and an
+    exponential, until the arrival time passes ``t_hi`` or the height
+    drops below ``s_lo``.
 
     ``window = (s_lo, s_hi, t_hi)`` is the rectangle [s_lo, s_hi] x
     [0, t_hi] in the (height, time) plane.  Returns arrays
@@ -454,7 +439,7 @@ def _window_points_chunk(gen, d, window, truncation_tol, m):
     # holds depth[r] points and ignores the entries past them
     levels = [x0, x_above]
     depth = np.full(m, 2)
-    tail_const = 1.0 / math.expm1(d)
+    tail_const = math.exp(-d) / -math.expm1(-d)  # 1/(e^d - 1), which overflows from d = 710
     deep = x_above.copy()
     rows = np.arange(m)
     while True:
@@ -462,7 +447,7 @@ def _window_points_chunk(gen, d, window, truncation_tol, m):
         rows = rows[~((top > s_hi) & (tail_const / top < truncation_tol))]
         if not rows.size:
             break
-        deep[rows] -= gen.gamma(d, size=rows.size)
+        deep[rows] += np.log(_height_factor_column(gen, d, rows.size))
         levels.append(deep.copy())
         depth[rows] += 1
 
@@ -477,7 +462,7 @@ def _window_points_chunk(gen, d, window, truncation_tol, m):
     x = x0.copy()
     rows = np.flatnonzero(sigma <= t_hi)
     while rows.size:
-        x[rows] += gen.gamma(d, size=rows.size)
+        x[rows] -= np.log(_height_factor_column(gen, d, rows.size))
         xi = np.exp(-x[rows])
         sigma[rows] += gen.exponential(size=rows.size) / xi
         arrivals.append((rows, xi, sigma[rows]))

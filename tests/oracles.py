@@ -147,23 +147,25 @@ def limit_process_points(rng, d: int, window, truncation_tol: float = 1e-9):
     """One draw of the scaling-limit point process in a window, in Python floats.
 
     Draws what the window kernel draws at m=1, in the same order, one
-    scalar at a time: the straddle of level 1, the backward Gamma(d) steps
-    until the largest height passes ``s_hi`` and the tail bound
-    (1/height)/(e^d - 1) falls below ``truncation_tol``, one exponential
-    per grid point from the deepest point up, then forward steps.  Returns
-    the (height, arrival time) points in ``window = (s_lo, s_hi, t_hi)``.
+    scalar or height factor at a time: the straddle of level 1, the
+    backward steps until the largest height passes ``s_hi`` and the tail
+    bound (1/height)/(e^d - 1) falls below ``truncation_tol``, one
+    exponential per grid point from the deepest point up, then forward
+    steps.  Each grid step moves -log(height) by the log of a product of d
+    uniforms.  Returns the (height, arrival time) points in
+    ``window = (s_lo, s_hi, t_hi)``.
     """
     s_lo, s_hi, t_hi = window
     straddle = float(rng.gamma(d + 1, size=1)[0])
     x0 = float(rng.random(1)[0]) * straddle
     # ascending -log(height); grid[0] is the deepest backward point
     grid = [x0 - straddle, x0]
-    tail_const = 1.0 / math.expm1(d)
+    tail_const = math.exp(-d) / -math.expm1(-d)  # 1/(e^d - 1), as the kernel takes it
     while True:
         top = math.exp(-grid[0])  # largest height collected so far
         if top > s_hi and tail_const / top < truncation_tol:
             break
-        grid.insert(0, grid[0] - float(rng.gamma(d)))
+        grid.insert(0, grid[0] + math.log(math.prod(rng.random(d))))
 
     points = []
     sigma = 0.0  # neglected tail below the truncation index counts as zero
@@ -174,7 +176,7 @@ def limit_process_points(rng, d: int, window, truncation_tol: float = 1e-9):
             points.append((xi, sigma))
     x = grid[-1]
     while sigma <= t_hi:
-        x += float(rng.gamma(d))
+        x -= math.log(math.prod(rng.random(d)))
         xi = math.exp(-x)
         sigma += float(rng.exponential()) / xi
         if xi < s_lo:

@@ -371,6 +371,13 @@ def test_seeds_that_differ_by_2_to_the_64_draw_different_samples(tmp_path):
     assert len(set(values.values())) == 3, values
 
 
+def test_a_seed_past_2_to_the_128_is_an_error(capsys):
+    # its fifth 32-bit word would take the stream id's place in the key
+    assert main(["simulate", "--method", "direct", "--d", "2", "--n", "50",
+                 "--replicates", "20", "--seed", str(2**128)]) == 1
+    assert "seed must be >= 0 and below 2^128" in capsys.readouterr().err
+
+
 def test_simulate_is_reproducible_across_workers(tmp_path):
     base = ["simulate", "--what", "chain-count", "--d", "2", "--n", "50",
             "--replicates", "3000", "--seed", "7"]
@@ -587,6 +594,21 @@ def test_limits_window_csv(tmp_path):
     for row in lines[2:]:
         xi, sigma = (float(v) for v in row.split(","))
         assert 0.05 <= xi <= 2.0 and 0 < sigma <= 8.0
+
+
+@pytest.mark.parametrize("args", [
+    ["limits", "--kind", "window", "--d", "710", "--window", "0.25,1,4"],
+    ["limits", "--kind", "y", "--d", "1024", "--replicates", "10"],
+    ["simulate", "--what", "limit-variable", "--d", "1024", "--replicates", "10"],
+    ["simulate", "--method", "sojourn", "--d", "1000", "--n", "1000", "--replicates", "100"],
+], ids=["window-d710", "y-d1024", "limit-variable-d1024", "sojourn-d1000"])
+def test_limit_laws_run_where_their_tail_bounds_overflowed(args, tmp_path):
+    # 1/(e^d - 1) overflowed from d = 710 and 1/(2^d - 1) from d = 1024, and at
+    # d = 1000 every height factor underflows to 0
+    out = tmp_path / "out"
+    assert main([*args, "--seed", "1", "--out", str(out)]) == 0
+    written = list(tmp_path.iterdir())
+    assert written and all(path.read_text() for path in written)
 
 
 def test_limits_bad_window(capsys):

@@ -76,6 +76,22 @@ def test_a_negative_seed_is_rejected(seed):
         make_stream(seed)
 
 
+def test_stream_keys_whose_words_could_collide_are_rejected():
+    # SeedSequence flattens (stream, substream) into 32-bit words, so an
+    # unbounded substream would give this key the words of (0, 2^33, 7)
+    make_stream(0, 2**33, 7)
+    with pytest.raises(ValueError, match="substream must be >= 0 and below 2\\^32"):
+        make_stream(0, 0, 2 + 7 * 2**32)
+    # and a seed past 2^128 would spill its fifth word into the stream's place
+    with pytest.raises(ValueError, match="seed must be >= 0 and below 2\\^128"):
+        make_stream(5 * 2**128, 3, 7)
+    make_stream(0, 5 + 3 * 2**32, 7)
+    make_stream(2**128 - 1, 2**64 - 1, 2**32 - 1)
+    for key in ((0, 2**64, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError, match="stream must be >= 0"):
+            make_stream(*key)
+
+
 def test_batch_counts_independent_of_worker_count(monkeypatch):
     # 3,000 replicates in chunks of 700: four full chunks and a short one
     monkeypatch.setattr(samplers, "_CHUNK", 700)
@@ -327,12 +343,6 @@ def test_direct_scan_equals_the_reduction_mask(d, grid, monkeypatch):
             monkeypatch.setattr(samplers, "_SCAN_BLOCK", block_size)
             fast = samplers._direct_scan(_stream(grid, key), d, n)
             assert fast == _reduction_mask_scan(_stream(grid, key), d, n, n, block_size)
-
-
-@pytest.mark.parametrize("d", range(1, 13))
-def test_log_sum_rows_equals_the_numpy_row_sum_bit_for_bit(d):
-    u = make_stream(SEED, 38).random((5000, d))
-    assert samplers._log_sum_rows(u).tobytes() == np.log(u).sum(axis=1).tobytes()
 
 
 def test_log_transform_correspondence_on_simulated_marks():
@@ -590,24 +600,28 @@ def test_direct_kernel_draws_at_most_one_tile_at_a_time():
 
 @pytest.mark.parametrize("window", [(0.25, 1.0, 4.0), (0.5, 2.0, 2.0)])
 def test_window_kernel_draws_one_value_per_active_row_at_a_time(window):
-    # c11's base and image windows; the kernel keeps three entries per exponential drawn
+    # c11's base and image windows; each draw is one value or one height
+    # factor (d uniforms) per active row, and the kernel keeps three entries
+    # per exponential drawn
+    d = 2
     gen = DrawSizes(make_stream(SEED, 75))
-    samplers._window_points_chunk(gen, 2, window, 1e-9, samplers._CHUNK)
-    assert max(gen.sizes) <= samplers._CHUNK
-    assert sum(gen.sizes) <= 32 * samplers._CHUNK  # about 24 per row
+    samplers._window_points_chunk(gen, d, window, 1e-9, samplers._CHUNK)
+    assert max(gen.sizes) <= d * samplers._CHUNK
+    assert sum(gen.sizes) <= 44 * samplers._CHUNK  # about 34 per row: d + 1 per grid step
 
 
 def _sojourn_rows(draws, d, n, m):
     """The sojourn kernel's counts, replayed from its recorded draws one row at a time.
 
-    ``draws`` are the first height factors of all m rows, then per step a
-    uniform for each active row and a height-factor row for each row whose
-    sojourn landed within n; each draw's entries go to the active rows in
-    row order, so every draw must have as many rows as are active.
+    ``draws`` are the first height-factor rows of all m rows, then per step
+    a uniform for each active row and a height-factor row for each row
+    whose sojourn landed within n; each draw's entries go to the active
+    rows in row order, so every draw must have as many rows as are active.
+    A row's log height grows by the log of its factor row's product.
     """
     (name, first), *steps = draws
     assert name == "random" and first.shape == (m, d)
-    log_h = [np.log(f).sum() for f in first]
+    log_h = [np.log(math.prod(f)) for f in first]
     t = [1] * m
     counts = [1] * m
     active = list(range(m))
@@ -616,7 +630,7 @@ def _sojourn_rows(draws, d, n, m):
         if i % 2:  # a height-factor row for each row that landed
             assert values.shape == (len(active), d)
             for r, f in zip(active, values):
-                log_h[r] = log_h[r] + np.log(f).sum()
+                log_h[r] = log_h[r] + np.log(math.prod(f))
             continue
         landed = []
         for r, v in zip(active, values):
@@ -694,21 +708,22 @@ def test_renewal_count_frozen_example():
 def _renewal_rows(draws, d, n, m):
     """The renewal kernel's counts, replayed from its recorded draws one row at a time.
 
-    ``draws`` are the first height factors of all m rows, then per step a
-    height-factor row for each row whose height is still above 1/n, in row
-    order, so every draw must have as many rows as are active.
+    ``draws`` are the first height-factor rows of all m rows, then per step
+    a height-factor row for each row whose height is still above 1/n, in
+    row order, so every draw must have as many rows as are active.  A
+    row's -log height grows by -log of its factor row's product.
     """
     (name, first), *steps = draws
     assert name == "random" and first.shape == (m, d)
     log_n = math.log(n)
-    x = [-np.log(f).sum() for f in first]
+    x = [-np.log(math.prod(f)) for f in first]
     counts = [0] * m
     active = [r for r in range(m) if x[r] < log_n]
     for name, factors in steps:
         assert name == "random" and factors.shape == (len(active), d)
         for r, f in zip(active, factors):
             counts[r] += 1
-            x[r] = x[r] - np.log(f).sum()
+            x[r] = x[r] - np.log(math.prod(f))
         active = [r for r in active if x[r] < log_n]
     assert not active
     return counts
@@ -1033,6 +1048,13 @@ def test_limit_variables_reject_a_tolerance_that_is_not_finite_and_positive(tole
         sample_limit_variables(2, 5, tolerance=tolerance, seed=SEED)
 
 
+def test_limit_variables_draw_past_the_dimension_where_2_to_the_d_overflows():
+    # the tail bound 1/(2^d - 1) overflowed a double from d = 1024
+    for d in (1023, 1024, 1100):
+        y, depth = sample_limit_variables(d, 10, seed=SEED)
+        assert np.isfinite(y).all() and (y >= 0).all() and (depth == 0).all(), d
+
+
 # ---------------------------------------------------------------------------
 # the limit point process
 
@@ -1155,3 +1177,37 @@ def test_window_counts_reject_bad_arguments_before_drawing(window, tol, monkeypa
     monkeypatch.setattr(samplers, "_run_chunked", no_draws)
     with pytest.raises(ValueError):
         sample_window_counts(2, window, 10, truncation_tol=tol, seed=SEED)
+
+
+def test_window_counts_run_past_the_dimension_where_e_to_the_d_overflows():
+    # the tail bound 1/(e^d - 1) overflowed a double from d = 710
+    for d in (709, 710):
+        counts = sample_window_counts(d, (0.25, 1.0, 4.0), 50, seed=SEED)
+        assert counts.shape == (50,) and (counts >= 0).all(), d
+
+
+# ---------------------------------------------------------------------------
+# height factors that underflow: at d = 1000 every product of d uniforms is 0
+
+
+def test_sojourn_kernel_ends_every_row_at_a_zero_height():
+    counts = samplers._sojourn_counts_chunk(make_stream(SEED, 100), 1000, 1000, 50)
+    assert counts.tolist() == [1] * 50
+    for i in range(20):
+        trace = simulate_sojourn(make_stream(SEED, 101, i), 1000, 1000)
+        assert trace.heights == (0.0,)
+        count = samplers._sojourn_counts_chunk(make_stream(SEED, 101, i), 1000, 1000, 1)
+        assert count.tolist() == [trace.count]
+
+
+def test_renewal_kernel_counts_no_zero_height():
+    assert samplers._renewal_counts_chunk(make_stream(SEED, 102), 1000, 1000, 50).tolist() == [0] * 50
+
+
+def test_window_kernel_returns_on_zero_height_factors():
+    # every backward step gives an infinite top and every forward step a zero height
+    window = (0.25, 1.0, 4.0)
+    rows, xi, sigma = samplers._window_points_chunk(make_stream(SEED, 103), 1000, window, 1e-9,
+                                                    samplers._CHUNK)
+    assert ((0 <= rows) & (rows < samplers._CHUNK)).all()
+    assert ((0.25 <= xi) & (xi <= 1.0) & (0 <= sigma) & (sigma <= 4.0)).all()

@@ -229,16 +229,10 @@ def _cmd_exact(args) -> int:
     d, n_max, n_cap = args.d, args.n, args.n_cap
     chain = exact.chain_record_prob_table(d, n_max, n_cap=n_cap)
     weak = exact.weak_record_prob_table(d, n_max, n_cap=n_cap)
-    header = (
-        "n,p_exact_fraction,p_exact_decimal15,"
-        "p_strong_fraction,p_strong_decimal15,p_weak_fraction,p_weak_decimal15,"
-        "e_chain_fraction,e_chain_decimal15,e_strong_fraction,e_strong_decimal15,"
-        "e_weak_fraction,e_weak_decimal15"
-    )
-    lines = [
-        _meta_comment("exact", "-", {"d": d, "n": n_max, "n_cap": n_cap}),
-        header,
-    ]
+    # each probability and expected count as a fraction and a decimal15 cell
+    quantities = ("p_exact", "p_strong", "p_weak", "e_chain", "e_strong", "e_weak")
+    header = ",".join(["n", *(f"{q}_{f}" for q in quantities for f in ("fraction", "decimal15"))])
+    lines = [_meta_comment("exact", "-", {"d": d, "n": n_max, "n_cap": n_cap}), header]
     # expected counts are running sums of the probabilities (linearity)
     expected = [Fraction(0)] * 3
     # Python's default 4300-digit limit on int-to-string conversion would

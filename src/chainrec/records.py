@@ -81,10 +81,14 @@ class RecordDetector:
 
         Returns an ``(m, 3 + dim)`` boolean array with one row per mark:
         the chain, weak and strong flags, then one marginal flag per
-        coordinate.  A mark whose shape is not ``(dim,)`` raises
-        ``ValueError`` naming its index before any state changes.
+        coordinate.  A mark whose shape is not ``(dim,)``, or with a NaN
+        coordinate, which no comparison holds for and so would never leave the
+        front, raises ``ValueError`` naming its index before any state changes.
         """
         x = self._as_rows(marks)
+        nan = np.isnan(x).any(axis=1)
+        if nan.any():
+            raise ValueError(f"NaN coordinate at index {self.index + 1 + int(nan.argmax())}")
         out = np.empty((len(x), 3 + self.dim), dtype=bool)
         start = 0
         while start < len(x):

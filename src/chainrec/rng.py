@@ -11,6 +11,7 @@ workers execute the chunks.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -29,10 +30,16 @@ def make_stream(seed: int, stream: int = 0, substream: int = 0) -> np.random.Gen
     """Generator for the key ``(seed, stream, substream)`` in [0, 2^128) x [0, 2^64) x [0, 2^32).
 
     ``SeedSequence`` flattens a key into 32-bit words, not recording how
-    many each integer took: wider keys could share their words.
+    many each integer took: wider keys could share their words.  Each key is
+    taken as it is, through ``operator.index``: a float is a ``TypeError``.
     """
+    key = []
     for name, value, bits in (("seed", seed, 128), ("stream", stream, 64), ("substream", substream, 32)):
-        if not 0 <= value < 1 << bits:
+        try:
+            key.append(operator.index(value))
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        if not 0 <= key[-1] < 1 << bits:
             raise ValueError(f"{name} must be >= 0 and below 2^{bits}, got {value}")
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream), int(substream)))
+    seq = np.random.SeedSequence(entropy=key[0], spawn_key=key[1:])
     return np.random.Generator(np.random.PCG64DXSM(seq))

@@ -30,8 +30,9 @@ underflows to 0 ends its row.  The two gamma draws are other laws:
 700, and the limit kernel's stationary Gamma(k), k varying per row.
 
 A kernel draws a value only for a replicate that uses it: the kernels
-that stop early keep an index array of the rows still active, and the
-insertion kernel draws a height factor only for each row a term hit.
+that stop early keep an index array of the rows still active (the window
+kernel one per backward level, whose exponentials it draws deepest first),
+and the insertion kernel draws a height factor only for each row a term hit.
 Each kernel's docstring gives its draw order.
 
 Scalar functions take a generator from :func:`chainrec.rng.make_stream`,
@@ -419,12 +420,13 @@ def _window_points_chunk(gen, d, window, truncation_tol, m):
     time is the backward sum of exponentials over inverse heights,
     truncated when its expected remainder bound (1/height)/(e^d - 1) -- a
     typical-growth approximation using realized heights -- falls below
-    ``truncation_tol``.  Each step draws only for the rows still active:
-    the straddle of level 1, the backward height-factor steps under that
-    stopping rule, one exponential per grid point from each row's deepest
-    point up, then the forward steps, each a height factor and an
-    exponential, until the arrival time passes ``t_hi`` or the height
-    drops below ``s_lo``.
+    ``truncation_tol``.  It holds only its active rows, each backward level
+    as a (rows, -log heights) pair.  Draw order: the straddle of level 1;
+    per backward step a height-factor row for each row the stopping rule
+    keeps; per level, deepest first, an exponential for each row that has
+    it, so each row sums from its deepest point up; then per forward step a
+    height-factor row and an exponential for each row still within ``t_hi``
+    and not below ``s_lo``.
 
     ``window = (s_lo, s_hi, t_hi)`` is the rectangle [s_lo, s_hi] x
     [0, t_hi] in the (height, time) plane.  Returns arrays
@@ -434,29 +436,25 @@ def _window_points_chunk(gen, d, window, truncation_tol, m):
     """
     s_lo, s_hi, t_hi = window
     x_above, x0 = _straddle(gen, d, m)
-    # levels[k][r]: -log height of row r's k-th grid point counted backward
-    # (0 at or below level 1, 1 above it, then one per backward step); row r
-    # holds depth[r] points and ignores the entries past them
-    levels = [x0, x_above]
-    depth = np.full(m, 2)
-    tail_const = math.exp(-d) / -math.expm1(-d)  # 1/(e^d - 1), which overflows from d = 710
-    deep = x_above.copy()
+    # levels[k]: the rows with a k-th grid point counted backward (x0, x_above,
+    # then one per backward step) and that point's -log height
     rows = np.arange(m)
+    levels = [(rows, x0), (rows, x_above)]
+    tail_const = math.exp(-d) / -math.expm1(-d)  # 1/(e^d - 1), which overflows from d = 710
+    x = x_above
     while True:
-        top = np.exp(-deep[rows])  # largest height collected so far
-        rows = rows[~((top > s_hi) & (tail_const / top < truncation_tol))]
-        if not rows.size:
+        top = np.exp(-x)  # largest height collected so far
+        keep = np.flatnonzero(~((top > s_hi) & (tail_const / top < truncation_tol)))
+        if not keep.size:
             break
-        deep[rows] += np.log(_height_factor_column(gen, d, rows.size))
-        levels.append(deep.copy())
-        depth[rows] += 1
+        rows = rows[keep]
+        x = x[keep] + np.log(_height_factor_column(gen, d, rows.size))
+        levels.append((rows, x))
 
-    grid = np.array(levels)
     sigma = np.zeros(m)  # neglected tail below the truncation index counts as zero
     arrivals = []  # (rows, heights, arrival times) of each step, in draw order
-    for s in range(len(grid)):
-        rows = np.flatnonzero(depth > s)
-        xi = np.exp(-grid[depth[rows] - 1 - s, rows])
+    for rows, x in reversed(levels):
+        xi = np.exp(-x)
         sigma[rows] += gen.exponential(size=rows.size) / xi
         arrivals.append((rows, xi, sigma[rows]))
     x = x0.copy()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -38,15 +38,10 @@ class CriterionResult:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "name": self.name,
-            "oracle": self.oracle,
-            "value": self.value,
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        """The fields by name, with ``passed`` reported as ``pass``."""
+        fields = asdict(self)
+        fields["pass"] = fields.pop("passed")
+        return fields
 
 
 # each tolerance key: whether it is a level, a p-value floor in (0, 1), or a

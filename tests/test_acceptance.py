@@ -254,7 +254,7 @@ def test_c11_fails_when_the_image_window_is_twice_as_long_in_time(monkeypatch):
 
 
 def test_c11_mean_fails_when_every_arrival_time_is_ten_percent_late(monkeypatch):
-    # clean: 1.06 and 0.19; this defect: 5.12 and 3.81 (bound 4).  It acts on
+    # clean: 1.24 and 0.15; this defect: 5.33 and 4.36 (bound 4).  It acts on
     # both windows alike, so c11 passes it (p = 0.37)
     chunk = samplers._window_points_chunk
 

@@ -243,6 +243,25 @@ def test_a_mark_numpy_cannot_read_keeps_numpys_error():
         RecordDetector(2).extend([(0.5, 0.5), ("a", "b")])
 
 
+def test_a_nan_coordinate_is_rejected_before_any_state_changes():
+    # no comparison with NaN holds, so a NaN mark would be a weak record that
+    # no later mark removes from the front
+    det = RecordDetector(2)
+    det.process((0.9, 0.9))
+    with pytest.raises(ValueError, match=r"^NaN coordinate at index 3$"):
+        det.extend([(0.5, 0.5), (0.4, math.nan), (math.nan, 0.1)])
+    with pytest.raises(ValueError, match=r"^NaN coordinate at index 2$"):
+        det.process((math.nan, math.nan))
+    with pytest.raises(ValueError, match=r"^NaN coordinate at index 4$"):
+        det.extend(np.array([[0.5, 0.5], [0.4, 0.6], [0.3, np.nan]]))
+    assert det.index == 1 and det.pareto_front == ((0.9, 0.9),)
+    assert det._mins.tolist() == [0.9, 0.9] and det._last_chain == (0.9, 0.9)
+    # infinities are ordered: (0.5, inf) is beaten by nothing before it, and
+    # (-inf, 0.5) beats every earlier mark
+    assert det.extend([(0.5, math.inf), (-math.inf, 0.5)])[:, :3].tolist() == [
+        [False, True, False], [True, True, True]]
+
+
 @pytest.mark.parametrize("empty", [[], (), np.empty((0, 2)), np.empty((0, 5))])
 def test_extend_of_no_marks_has_one_flag_column_per_coordinate(empty):
     assert RecordDetector(3).extend(empty).shape == (0, 6)

@@ -92,6 +92,21 @@ def test_stream_keys_whose_words_could_collide_are_rejected():
             make_stream(*key)
 
 
+def test_a_key_that_is_not_an_integer_is_not_truncated():
+    for key, name in [((1.5,), "seed"), ((0, 2.0), "stream"), ((0, 0, 2.7), "substream"),
+                      ((np.float64(3.0),), "seed")]:
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            make_stream(*key)
+    with pytest.raises(TypeError, match="^seed must be an integer, got 1.9$"):
+        sample_chain_counts("sojourn", 2, 100, 5, seed=1.9)
+
+
+def test_numpy_integer_keys_draw_the_stream_of_their_value():
+    assert make_stream(np.int64(3)).random(4).tolist() == make_stream(3).random(4).tolist()
+    assert (make_stream(np.uint64(3), np.int32(7), np.uint8(2)).random(4).tolist()
+            == make_stream(3, 7, 2).random(4).tolist())
+
+
 def test_batch_counts_independent_of_worker_count(monkeypatch):
     # 3,000 replicates in chunks of 700: four full chunks and a short one
     monkeypatch.setattr(samplers, "_CHUNK", 700)
@@ -608,6 +623,75 @@ def test_window_kernel_draws_one_value_per_active_row_at_a_time(window):
     samplers._window_points_chunk(gen, d, window, 1e-9, samplers._CHUNK)
     assert max(gen.sizes) <= d * samplers._CHUNK
     assert sum(gen.sizes) <= 44 * samplers._CHUNK  # about 34 per row: d + 1 per grid step
+
+
+def _window_rows(draws, d, window, m, truncation_tol=1e-9):
+    """The window kernel's points, replayed from its recorded draws one row at a time.
+
+    ``draws`` are the straddle's gamma and uniform columns, a height-factor
+    row for each row still stepping backward, then per level, deepest
+    first, an exponential for each row that has that level, then per
+    forward step a height-factor row and an exponential for each row still
+    going; each draw's entries go to its rows in row order.  Returns the
+    in-window ``(row, height, time)`` points in the kernel's draw order.
+    """
+    s_lo, s_hi, t_hi = window
+    tail_const = math.exp(-d) / -math.expm1(-d)
+    draws = iter(draws)
+
+    def take(name, rows, shape=()):
+        drawn, values = next(draws)
+        assert drawn == name and values.shape == (len(rows), *shape)
+        return zip(rows, values.tolist())
+
+    everyone = range(m)
+    straddle = dict(take("gamma", everyone))
+    x0 = {r: u * straddle[r] for r, u in take("random", everyone)}
+    grids = {r: [x0[r], x0[r] - straddle[r]] for r in everyone}  # -log heights, backward
+    active = list(everyone)
+    while True:
+        tops = {r: math.exp(-grids[r][-1]) for r in active}  # each row's largest height so far
+        active = [r for r in active if not (tops[r] > s_hi and tail_const / tops[r] < truncation_tol)]
+        if not active:
+            break
+        for r, f in take("random", active, (d,)):
+            grids[r].append(grids[r][-1] + math.log(math.prod(f)))
+
+    sigma = [0.0] * m
+    points = []
+    for k in reversed(range(max(map(len, grids.values())))):
+        for r, e in take("exponential", [r for r in everyone if len(grids[r]) > k]):
+            xi = math.exp(-grids[r][k])
+            sigma[r] += e / xi
+            points.append((r, xi, sigma[r]))
+    x = dict(x0)
+    going = [r for r in everyone if sigma[r] <= t_hi]
+    while going:
+        heights = {}
+        for r, f in take("random", going, (d,)):
+            x[r] -= math.log(math.prod(f))
+            heights[r] = math.exp(-x[r])
+        for r, e in take("exponential", going):
+            sigma[r] += e / heights[r]
+            points.append((r, heights[r], sigma[r]))
+        going = [r for r in going if heights[r] >= s_lo and sigma[r] <= t_hi]
+    assert next(draws, None) is None
+    return [p for p in points if s_lo <= p[1] <= s_hi and p[2] <= t_hi]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("window", [(0.25, 1.0, 4.0), (0.05, 3.0, 10.0)])
+def test_window_kernel_draws_its_levels_deepest_first_for_the_rows_that_have_them(d, window):
+    # c11's base window and the golden window: the arrival phase draws one
+    # exponential per row per level, so its draws grow from the deepest level up
+    m = 30
+    for key in range(3):
+        gen = RecordedDraws(make_stream(SEED, 104, key))
+        rows, xi, sigma = samplers._window_points_chunk(gen, d, window, 1e-9, m)
+        replay = _window_rows(gen.draws, d, window, m)
+        assert rows.tolist() == [r for r, _, _ in replay]
+        assert xi.tolist() == pytest.approx([h for _, h, _ in replay], rel=1e-12, abs=0)
+        assert sigma.tolist() == pytest.approx([t for _, _, t in replay], rel=1e-12, abs=0)
 
 
 def _sojourn_rows(draws, d, n, m):

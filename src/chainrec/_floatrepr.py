@@ -111,8 +111,8 @@ def _shortest(x):
     q = whole - low + unit * np.floor(half_up).astype(np.int64)
     ok &= ~_near_integer(half_up, _MARGIN * scaled)
     zeros = tens.astype(np.intp)
-    # j >= 2: the one multiple of 10**j in the interval, top rounded down
-    rows = np.flatnonzero(tens)
+    # j >= 2: the one multiple of 10**j in the interval, top rounded down (certified rows only)
+    rows = np.flatnonzero(tens & ok)
     below, top = below[rows], top[rows]
     for j in range(2, 18):
         below //= 10

@@ -31,6 +31,7 @@ when it starts, so ``--version``, ``--help`` and ``exact`` never load numpy.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -357,23 +358,6 @@ def _cmd_simulate(args) -> int:
 # limits
 
 
-_LINES_PER_WRITE = 1 << 16
-
-
-def _value_lines(header: str, values):
-    """``header`` and one ``repr`` per value, a line each, in blocks of lines.
-
-    The text equals one join of all the lines; only one block of text is
-    alive at a time.  Each block is formatted by array operations, which
-    write exactly the bytes of ``repr`` (see :mod:`chainrec._floatrepr`).
-    """
-    from chainrec._floatrepr import repr_lines
-
-    yield header + "\n"
-    for lo in range(0, len(values), _LINES_PER_WRITE):
-        yield repr_lines(values[lo : lo + _LINES_PER_WRITE])
-
-
 # each kind's required option and its default truncation tolerance
 _LIMIT_KINDS = {"y": ("replicates", 1e-6), "window": ("window", 1e-9)}
 
@@ -393,16 +377,19 @@ def _cmd_limits(args) -> int:
     header = _meta_comment("limits", seed, {"kind": kind, "d": d, option: named,
                                             "truncation_tol": tol})
     if kind == "y":
-        values, _ = samplers.sample_limit_variables(
-            d, value, tolerance=tol, seed=seed,
-            label=f"limits:y:d={d}:tol={tol}", workers=args.workers,
-        )
-        _emit(_value_lines(header, values), _resolve_out(args.out))
-        return 0
-    gen = make_stream(seed, stream_id(f"limits:window:d={d}:window={named}:tol={tol}"))
-    xi, sigma = samplers.sample_window_points(gen, d, value, tol)
-    lines = [header, "xi,sigma", *(f"{h!r},{t!r}" for h, t in zip(xi.tolist(), sigma.tolist()))]
-    _emit("\n".join(lines) + "\n", _resolve_out(args.out))
+        from chainrec._floatrepr import repr_lines
+
+        # each chunk is written as it is drawn, by array operations that write
+        # exactly the bytes of repr
+        chunks = samplers.limit_variable_chunks(d, value, tolerance=tol, seed=seed,
+                                                label=f"limits:y:d={d}:tol={tol}",
+                                                workers=args.workers)
+        lines = (repr_lines(values) for values, _ in chunks)
+    else:
+        gen = make_stream(seed, stream_id(f"limits:window:d={d}:window={named}:tol={tol}"))
+        xi, sigma = samplers.sample_window_points(gen, d, value, tol)
+        lines = ["xi,sigma\n", *(f"{h!r},{t!r}\n" for h, t in zip(xi.tolist(), sigma.tolist()))]
+    _emit(itertools.chain([header + "\n"], lines), _resolve_out(args.out))
     return 0
 
 

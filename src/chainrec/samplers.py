@@ -37,15 +37,16 @@ Each kernel's docstring gives its draw order.
 
 Scalar functions take a generator from :func:`chainrec.rng.make_stream`,
 a PCG64DXSM stream keyed through ``SeedSequence``, and are pure given it.
-Every batch result -- the ``sample_*`` functions -- comes from one
-driver, :func:`_run_chunked`: chunk i of a task draws from substream i of
-the task's label and chunk results are merged in chunk order, so output
-is bit-identical for any worker count.
+Every batch result comes from one driver, :func:`_run_chunked`: chunk i
+of a task draws from substream i of the task's label, and it yields chunk
+results in order, at most 2 * workers in flight, so output is bit-identical
+for any worker count.  The ``sample_*`` functions concatenate them, and
+``limit_variable_chunks`` hands each on as it comes.
 Sizes are constants, not options, as chunk sizes decide which substream
 draws each replicate: ``_CHUNK`` replicates per chunk for every driver and
-``_SCAN_BLOCK`` for the scan.  The driver does not bound memory; each
-kernel does, by its tiles or active rows: the direct kernel holds one
-index-major tile of ``_TILE`` indices at a time.
+``_SCAN_BLOCK`` for the scan.  Within a chunk each kernel bounds memory by
+its tiles or active rows: the direct kernel holds one index-major tile of
+``_TILE`` indices at a time.
 """
 
 from __future__ import annotations
@@ -204,11 +205,11 @@ def _straddle(rng, d, m):
 
 
 def _run_chunked(chunk_fn, total, seed, label, workers):
-    """``chunk_fn(gen, m)`` over ``total`` replicates in chunks, merged in order.
+    """An iterator of ``chunk_fn(gen, m)`` over ``total`` replicates in chunks, in order.
 
     Chunks hold ``_CHUNK`` replicates (the last one the remainder) and chunk
-    i draws from substream i of ``label``.  Chunk results are arrays, or
-    tuples of arrays, concatenated along their first axis.
+    i draws from substream i of ``label``.  The arguments are checked on the
+    call; chunks are drawn as the iterator is read, at most 2 * workers ahead.
     """
     if total < 1:
         raise ValueError("replicates must be >= 1")
@@ -216,17 +217,27 @@ def _run_chunked(chunk_fn, total, seed, label, workers):
         raise ValueError("workers must be >= 1")
     sid = stream_id(label)
     sizes = [min(_CHUNK, total - lo) for lo in range(0, total, _CHUNK)]
-
-    def one(i):
-        return chunk_fn(make_stream(seed, sid, i), sizes[i])
-
+    one = lambda i: chunk_fn(make_stream(seed, sid, i), sizes[i])
     if workers <= 1:
-        parts = [one(i) for i in range(len(sizes))]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        return map(one, range(len(sizes)))
+    return _pooled(one, len(sizes), workers)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(len(sizes))))
+
+def _pooled(one, count, workers):
+    """``one(i)`` for i < count, in order, on a pool that runs at most 2 * workers ahead."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = [pool.submit(one, i) for i in range(min(2 * workers, count))]
+        for i in range(2 * workers, count + 2 * workers):
+            yield ahead.pop(0).result()
+            if i < count:
+                ahead.append(pool.submit(one, i))
+
+
+def _merged(parts):
+    """Chunk results, arrays or tuples of arrays, concatenated along their first axis."""
+    parts = list(parts)
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(column) for column in zip(*parts))
     return np.concatenate(parts)
@@ -500,7 +511,7 @@ def sample_chain_counts(
         fn = lambda gen, k: _sojourn_counts_chunk(gen, d, n, k)
     else:
         fn = lambda gen, k: _insertion_counts_chunk(gen, d, n, k)
-    return _run_chunked(fn, replicates, seed, label, workers)
+    return _merged(_run_chunked(fn, replicates, seed, label, workers))
 
 
 def sample_chain_flag_totals(
@@ -521,7 +532,7 @@ def sample_chain_flag_totals(
     _check_horizon(d, n)
     label = label or f"chain-flags:d={d}:n={n}"
     fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)
-    counts, totals = _run_chunked(fn, replicates, seed, label, workers)
+    counts, totals = _merged(_run_chunked(fn, replicates, seed, label, workers))
     return counts, totals.sum(axis=0)
 
 
@@ -538,7 +549,7 @@ def sample_renewal_counts(
     _check_horizon(d, n)
     label = label or f"renewal-counts:d={d}:n={n}"
     fn = lambda gen, k: _renewal_counts_chunk(gen, d, n, k)
-    return _run_chunked(fn, replicates, seed, label, workers)
+    return _merged(_run_chunked(fn, replicates, seed, label, workers))
 
 
 def sample_poisson_paced_terminals(
@@ -556,6 +567,14 @@ def sample_poisson_paced_terminals(
         raise ValueError("need d >= 1, t_horizon > 0 and b0 > 0")
     label = label or f"poisson-paced:d={d}:t={t_horizon}:b0={b0}"
     fn = lambda gen, k: _poisson_paced_chunk(gen, d, t_horizon, b0, k)
+    return _merged(_run_chunked(fn, replicates, seed, label, workers))
+
+
+def limit_variable_chunks(d, replicates, *, tolerance=1e-6, seed, label=None, workers=1):
+    """``(values, depths)`` per chunk of :func:`sample_limit_variables`, checked on the call."""
+    _check_tolerance(d, tolerance)
+    label = label or f"limit-variable:d={d}:tol={tolerance}"
+    fn = lambda gen, k: _limit_variable_chunk(gen, d, tolerance, k)
     return _run_chunked(fn, replicates, seed, label, workers)
 
 
@@ -569,10 +588,8 @@ def sample_limit_variables(
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Limit-variable draws plus the series stop index of each draw."""
-    _check_tolerance(d, tolerance)
-    label = label or f"limit-variable:d={d}:tol={tolerance}"
-    fn = lambda gen, k: _limit_variable_chunk(gen, d, tolerance, k)
-    return _run_chunked(fn, replicates, seed, label, workers)
+    return _merged(limit_variable_chunks(d, replicates, tolerance=tolerance, seed=seed,
+                                         label=label, workers=workers))
 
 
 def sample_window_counts(
@@ -590,7 +607,7 @@ def sample_window_counts(
     label = label or f"window-counts:d={d}:window={window}:tol={truncation_tol}"
     fn = lambda gen, k: np.bincount(
         _window_points_chunk(gen, d, window, truncation_tol, k)[0], minlength=k)
-    return _run_chunked(fn, replicates, seed, label, workers)
+    return _merged(_run_chunked(fn, replicates, seed, label, workers))
 
 
 def sample_window_points(

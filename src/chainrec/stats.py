@@ -102,15 +102,10 @@ def _chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
             bins_a.append(acc_a)
             bins_b.append(acc_b)
             acc_a = acc_b = 0.0
-    if acc_a or acc_b:
-        if bins_a:
-            bins_a[-1] += acc_a
-            bins_b[-1] += acc_b
-        else:
-            bins_a.append(acc_a)
-            bins_b.append(acc_b)
     if len(bins_a) < 2:
         return 0.0, 1.0  # everything pooled into one bin: no evidence either way
+    bins_a[-1] += acc_a  # counts left over join the last bin
+    bins_b[-1] += acc_b
     obs_a = np.array(bins_a)
     obs_b = np.array(bins_b)
     col_totals = obs_a + obs_b

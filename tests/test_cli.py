@@ -471,47 +471,56 @@ def test_an_option_the_limit_kind_does_not_read_changes_no_byte(tmp_path, kind, 
     assert (tmp_path / "unread").read_bytes() == (tmp_path / "plain").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["limits", "--kind", "y", "--d", "2", "--replicates", "-5"], "replicates must be >= 1"),
-        (["limits", "--kind", "y", "--d", "2", "--replicates", "0"], "replicates must be >= 1"),
-        (["simulate", "--d", "2", "--n", "10", "--replicates", "0"], "replicates must be >= 1"),
-        (["simulate", "--what", "renewal-count", "--d", "2", "--n", "10", "--replicates", "-3"],
-         "replicates must be >= 1"),
-        (["simulate", "--method", "direct", "--d", "2", "--n", "0", "--replicates", "3"],
-         "need d >= 1 and n >= 1"),
-        (["limits", "--kind", "y", "--d", "0", "--replicates", "3"], "need d >= 1"),
-        (["limits", "--kind", "window", "--d", "0", "--window", "0.05,2.0,8.0"], "need d >= 1"),
-        (["simulate", "--what", "limit-variable", "--d", "0", "--replicates", "3"],
-         "need d >= 1"),
-        (["simulate", "--what", "poisson-count", "--d", "0", "--t", "1.0", "--replicates", "3"],
-         "need d >= 1, t_horizon > 0 and b0 > 0"),
-        (["simulate", "--what", "renewal-count", "--d", "2", "--n", "0", "--replicates", "3"],
-         "need d >= 1 and n >= 1"),
-        (["simulate", "--what", "limit-variable", "--d", "2", "--replicates", "10",
-          "--trace-out", "t.csv"], "--trace-out needs --what chain-count"),
-        (["simulate", "--what", "poisson-count", "--d", "2", "--t", "1.0", "--replicates", "10",
-          "--trace-out", "t.csv"], "--trace-out needs --what chain-count"),
-        (["simulate", "--method", "insertion", "--d", "2", "--n", "10", "--replicates", "10",
-          "--trace-out", "t.csv"], "--trace-out needs --method direct or sojourn"),
-        (["limits", "--kind", "window", "--d", "2", "--window", "0.1,1,2",
-          "--truncation-tol", "nan"], "tolerance must be finite and positive"),
-        (["limits", "--kind", "window", "--d", "2", "--window", "0.1,inf,2"],
-         "window must satisfy 0 < s_lo < s_hi < inf and t_hi > 0"),
-        (["limits", "--kind", "window", "--d", "2", "--window", "0.1,1,nan"],
-         "window must satisfy 0 < s_lo < s_hi < inf and t_hi > 0"),
-        (["limits", "--kind", "y", "--d", "2", "--replicates", "3", "--truncation-tol", "inf"],
-         "tolerance must be finite and positive"),
-        (["simulate", "--what", "limit-variable", "--d", "2", "--replicates", "3",
-          "--truncation-tol", "nan"], "tolerance must be finite and positive"),
-    ],
-)
+INVALID_SAMPLE_SIZES = [
+    (["limits", "--kind", "y", "--d", "2", "--replicates", "-5"], "replicates must be >= 1"),
+    (["limits", "--kind", "y", "--d", "2", "--replicates", "0"], "replicates must be >= 1"),
+    (["simulate", "--d", "2", "--n", "10", "--replicates", "0"], "replicates must be >= 1"),
+    (["simulate", "--what", "renewal-count", "--d", "2", "--n", "10", "--replicates", "-3"],
+     "replicates must be >= 1"),
+    (["simulate", "--method", "direct", "--d", "2", "--n", "0", "--replicates", "3"],
+     "need d >= 1 and n >= 1"),
+    (["limits", "--kind", "y", "--d", "0", "--replicates", "3"], "need d >= 1"),
+    (["limits", "--kind", "window", "--d", "0", "--window", "0.05,2.0,8.0"], "need d >= 1"),
+    (["simulate", "--what", "limit-variable", "--d", "0", "--replicates", "3"],
+     "need d >= 1"),
+    (["simulate", "--what", "poisson-count", "--d", "0", "--t", "1.0", "--replicates", "3"],
+     "need d >= 1, t_horizon > 0 and b0 > 0"),
+    (["simulate", "--what", "renewal-count", "--d", "2", "--n", "0", "--replicates", "3"],
+     "need d >= 1 and n >= 1"),
+    (["simulate", "--what", "limit-variable", "--d", "2", "--replicates", "10",
+      "--trace-out", "t.csv"], "--trace-out needs --what chain-count"),
+    (["simulate", "--what", "poisson-count", "--d", "2", "--t", "1.0", "--replicates", "10",
+      "--trace-out", "t.csv"], "--trace-out needs --what chain-count"),
+    (["simulate", "--method", "insertion", "--d", "2", "--n", "10", "--replicates", "10",
+      "--trace-out", "t.csv"], "--trace-out needs --method direct or sojourn"),
+    (["limits", "--kind", "window", "--d", "2", "--window", "0.1,1,2",
+      "--truncation-tol", "nan"], "tolerance must be finite and positive"),
+    (["limits", "--kind", "window", "--d", "2", "--window", "0.1,inf,2"],
+     "window must satisfy 0 < s_lo < s_hi < inf and t_hi > 0"),
+    (["limits", "--kind", "window", "--d", "2", "--window", "0.1,1,nan"],
+     "window must satisfy 0 < s_lo < s_hi < inf and t_hi > 0"),
+    (["limits", "--kind", "y", "--d", "2", "--replicates", "3", "--truncation-tol", "inf"],
+     "tolerance must be finite and positive"),
+    (["simulate", "--what", "limit-variable", "--d", "2", "--replicates", "3",
+      "--truncation-tol", "nan"], "tolerance must be finite and positive"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INVALID_SAMPLE_SIZES)
 def test_invalid_sample_sizes_are_rejected(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a relative --trace-out would land here
     assert main([*argv, "--seed", "1", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    case for case in INVALID_SAMPLE_SIZES if case[0][:3] == ["limits", "--kind", "y"]])
+def test_limits_y_checks_its_arguments_before_writing_to_stdout(argv, message, capsys):
+    # the header is streamed ahead of the draws, so it must follow the checks
+    assert main([*argv, "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_simulate_trace_dump(tmp_path):
@@ -571,17 +580,49 @@ def test_limits_variable_samples(tmp_path):
 
 
 def test_limits_y_block_writes_equal_one_join(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 7)  # 50 values: 7 full blocks and 1 value
-    args = ["limits", "--kind", "y", "--d", "2", "--replicates", "50", "--seed", "3"]
+    monkeypatch.setattr(samplers, "_CHUNK", 7)  # 50 values: 7 full chunks and 1 value
     values, _ = samplers.sample_limit_variables(2, 50, seed=3, label="limits:y:d=2:tol=1e-06")
     out = tmp_path / "y.txt"
-    assert main([*args, "--out", str(out)]) == 0
-    text = out.read_text()
-    header = text.split("\n", 1)[0]
-    assert header.startswith("# chainrec ")
-    assert text == "\n".join([header, *(repr(float(v)) for v in values)]) + "\n"
-    assert main(args) == 0
-    assert capsys.readouterr().out == text
+    for workers in ("1", "2", "3"):
+        args = ["limits", "--kind", "y", "--d", "2", "--replicates", "50", "--seed", "3",
+                "--workers", workers]
+        assert main([*args, "--out", str(out)]) == 0
+        text = out.read_text()
+        header = text.split("\n", 1)[0]
+        assert header.startswith("# chainrec ")
+        assert text == "\n".join([header, *(repr(float(v)) for v in values)]) + "\n"
+        assert main(args) == 0
+        assert capsys.readouterr().out == text
+
+
+_PEAK_MEMORY_SCRIPT = """
+import sys
+from chainrec.cli import main
+assert main(["limits", "--kind", "y", "--d", "2", "--replicates", sys.argv[1], "--seed", "1",
+             "--out", sys.argv[2]]) == 0
+status = open("/proc/self/status").read()
+print(next(line.split()[1] for line in status.splitlines() if line.startswith("VmHWM:")))
+"""
+
+
+def test_limits_y_peak_memory_is_flat_in_the_sample_size(tmp_path):
+    # VmHWM read inside a fresh child: a child's ru_maxrss starts at its parent's image
+    try:
+        with open("/proc/self/status") as fh:
+            if "VmHWM:" not in fh.read():
+                pytest.skip("no VmHWM in /proc/self/status")
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    import_root = str(Path(chainrec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=import_root)
+    peaks = []
+    for draws in (100_000, 1_000_000):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_MEMORY_SCRIPT, str(draws), str(tmp_path / "y.txt")],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        peaks.append(int(proc.stdout) / 1024)  # kB to MB
+    assert peaks[1] - peaks[0] < 4, peaks
 
 
 def test_limits_window_csv(tmp_path):

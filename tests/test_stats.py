@@ -13,7 +13,7 @@ import scipy.stats
 
 from chainrec import exact, samplers
 from chainrec.rng import make_stream, stream_id
-from chainrec.samplers import _run_chunked
+from chainrec.samplers import _merged, _run_chunked
 from chainrec.stats import (
     _chi_square_tail,
     regression_slope,
@@ -28,7 +28,7 @@ def _scalar_draws(draw, replicates, label, workers=1, seed=SEED):
     """``draw(gen)`` once per replicate, replicate i on substream i of ``label``."""
     chunk = lambda gen, m: np.array([draw(gen) for _ in range(m)], dtype=float)
     with mock.patch.object(samplers, "_CHUNK", 1):
-        return _run_chunked(chunk, replicates, seed, label, workers)
+        return _merged(_run_chunked(chunk, replicates, seed, label, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def test_estimate_is_deterministic_and_worker_invariant():
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_chunked_chunk_i_draws_substream_i(chunk_size, workers, monkeypatch):
     monkeypatch.setattr(samplers, "_CHUNK", chunk_size)
-    values = _run_chunked(lambda gen, m: gen.random(m), 7, SEED, "test:layout", workers)
+    values = _merged(_run_chunked(lambda gen, m: gen.random(m), 7, SEED, "test:layout", workers))
     sid = stream_id("test:layout")
     sizes = [chunk_size] * (7 // chunk_size) + [7 % chunk_size] * bool(7 % chunk_size)
     expected = np.concatenate([make_stream(SEED, sid, i).random(m) for i, m in enumerate(sizes)])
@@ -66,6 +66,24 @@ def test_run_chunked_chunk_i_draws_substream_i(chunk_size, workers, monkeypatch)
     mean, se = summarize(values)
     assert mean == float(expected.mean())
     assert se == float(expected.std(ddof=1) / math.sqrt(7))
+
+
+def test_run_chunked_draws_as_it_is_read_and_at_most_two_chunks_per_worker_ahead(monkeypatch):
+    monkeypatch.setattr(samplers, "_CHUNK", 1)
+    started = []
+
+    def chunk(gen, m):
+        started.append(m)
+        return gen.random(m)
+
+    results = _run_chunked(chunk, 40, SEED, "test:ahead", 3)
+    assert started == []
+    values = []
+    for read, value in enumerate(results, 1):
+        assert len(started) < read + 2 * 3, (read, len(started))
+        values.append(value)
+    assert np.array_equal(np.concatenate(values),
+                          _merged(_run_chunked(chunk, 40, SEED, "test:ahead", 1)))
 
 
 def test_estimate_log_height_factor():

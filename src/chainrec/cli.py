@@ -274,24 +274,23 @@ _UNREAD_LABEL_FIELDS = {"method": "sojourn", "n": None, "t": None, "b0": 1.0,
                         "truncation_tol": 1e-6}
 
 
-def _simulate_values(params, replicates, seed, workers):
+def _simulate_chunks(params, args):
     from chainrec import samplers
 
     what, d = params["what"], params["d"]
     label = "simulate:{what}:{method}:d={d}:n={n}:t={t}:b0={b0}:tol={truncation_tol}".format_map(
         {**_UNREAD_LABEL_FIELDS, **params})
-    run = {"seed": seed, "label": label, "workers": workers}
+    run = dict(replicates=args.replicates, seed=args.seed, label=label, workers=args.workers)
     if what == "chain-count":
-        return samplers.sample_chain_counts(params["method"], d, params["n"], replicates, **run)
+        return samplers.sample_chain_counts(params["method"], d, params["n"], **run)
     if what == "renewal-count":
-        return samplers.sample_renewal_counts(d, params["n"], replicates, **run)
+        return samplers.sample_renewal_counts(d, params["n"], **run)
     if what == "limit-variable":
-        return samplers.sample_limit_variables(d, replicates, tolerance=params["truncation_tol"],
-                                               **run)[0]
-    counts, integrals, states = samplers.sample_poisson_paced_terminals(
-        d, params["t"], replicates, b0=params["b0"], **run
-    )
-    return {"poisson-count": counts, "poisson-integral": integrals, "poisson-state": states}[what]
+        chunks = samplers.sample_limit_variables(d, tolerance=params["truncation_tol"], **run)
+        return (values for values, _ in chunks)
+    column = ("poisson-count", "poisson-integral", "poisson-state").index(what)
+    chunks = samplers.sample_poisson_paced_terminals(d, params["t"], b0=params["b0"], **run)
+    return (chunk[column] for chunk in chunks)
 
 
 def _trace_lines(method, d, n, replicates, seed):
@@ -328,18 +327,17 @@ def _cmd_simulate(args) -> int:
         if args.method not in ("direct", "sojourn"):
             raise ValueError("--trace-out needs --method direct or sojourn")
 
-    replicates = args.replicates
-    value, std_error = stats.summarize(_simulate_values(params, replicates, seed, args.workers))
+    value, std_error = stats.summarize(_simulate_chunks(params, args))
 
     doc = {"meta": _meta_dict("simulate", seed, params), "estimator": what, "value": value,
-           "std_error": std_error, "replicates": replicates, "seed": seed, "params": params}
+           "std_error": std_error, "replicates": args.replicates, "seed": seed, "params": params}
     json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     se_text = "NA" if std_error is None else repr(std_error)
     csv_text = "\n".join(
         [
             _meta_comment("simulate", seed, params),
             "estimator,value,std_error,replicates,seed",
-            f"{what},{value!r},{se_text},{replicates},{seed}",
+            f"{what},{value!r},{se_text},{args.replicates},{seed}",
         ]
     ) + "\n"
 
@@ -381,9 +379,9 @@ def _cmd_limits(args) -> int:
 
         # each chunk is written as it is drawn, by array operations that write
         # exactly the bytes of repr
-        chunks = samplers.limit_variable_chunks(d, value, tolerance=tol, seed=seed,
-                                                label=f"limits:y:d={d}:tol={tol}",
-                                                workers=args.workers)
+        chunks = samplers.sample_limit_variables(d, value, tolerance=tol, seed=seed,
+                                                 label=f"limits:y:d={d}:tol={tol}",
+                                                 workers=args.workers)
         lines = (repr_lines(values) for values, _ in chunks)
     else:
         gen = make_stream(seed, stream_id(f"limits:window:d={d}:window={named}:tol={tol}"))

@@ -40,8 +40,8 @@ a PCG64DXSM stream keyed through ``SeedSequence``, and are pure given it.
 Every batch result comes from one driver, :func:`_run_chunked`: chunk i
 of a task draws from substream i of the task's label, and it yields chunk
 results in order, at most 2 * workers in flight, so output is bit-identical
-for any worker count.  The ``sample_*`` functions concatenate them, and
-``limit_variable_chunks`` hands each on as it comes.
+for any worker count.  Every ``sample_*`` function checks its arguments and
+returns that iterator, and its callers reduce each chunk as it comes.
 Sizes are constants, not options, as chunk sizes decide which substream
 draws each replicate: ``_CHUNK`` replicates per chunk for every driver and
 ``_SCAN_BLOCK`` for the scan.  Within a chunk each kernel bounds memory by
@@ -52,6 +52,7 @@ its tiles or active rows: the direct kernel holds one index-major tile of
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,20 +208,20 @@ def _straddle(rng, d, m):
 def _run_chunked(chunk_fn, total, seed, label, workers):
     """An iterator of ``chunk_fn(gen, m)`` over ``total`` replicates in chunks, in order.
 
-    Chunks hold ``_CHUNK`` replicates (the last one the remainder) and chunk
-    i draws from substream i of ``label``.  The arguments are checked on the
-    call; chunks are drawn as the iterator is read, at most 2 * workers ahead.
+    Chunk i holds ``_CHUNK`` replicates (the last one the remainder) from substream i
+    of ``label``.  ``total`` and ``workers`` are checked on the call; each chunk is
+    drawn, its seed checked, as the iterator is read, at most 2 * workers ahead.
     """
     if total < 1:
         raise ValueError("replicates must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     sid = stream_id(label)
-    sizes = [min(_CHUNK, total - lo) for lo in range(0, total, _CHUNK)]
-    one = lambda i: chunk_fn(make_stream(seed, sid, i), sizes[i])
+    count = len(range(0, total, _CHUNK))
+    one = lambda i: chunk_fn(make_stream(seed, sid, i), min(_CHUNK, total - i * _CHUNK))
     if workers <= 1:
-        return map(one, range(len(sizes)))
-    return _pooled(one, len(sizes), workers)
+        return map(one, range(count))
+    return _pooled(one, count, workers)
 
 
 def _pooled(one, count, workers):
@@ -233,14 +234,6 @@ def _pooled(one, count, workers):
             yield ahead.pop(0).result()
             if i < count:
                 ahead.append(pool.submit(one, i))
-
-
-def _merged(parts):
-    """Chunk results, arrays or tuples of arrays, concatenated along their first axis."""
-    parts = list(parts)
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(column) for column in zip(*parts))
-    return np.concatenate(parts)
 
 
 def _height_factor_column(gen, d, m):
@@ -258,7 +251,7 @@ def _height_factor_column(gen, d, m):
 def _direct_counts_chunk(gen, d, n, m):
     """Direct detection on m replicates of n marks.
 
-    Returns the per-replicate counts and a (1, n) row whose entry j counts
+    Returns the per-replicate counts and an n-vector whose entry j counts
     the replicates with a chain record at index j+1.  Draw order: index
     major, one (T, d, m) array per tile of T <= ``_TILE`` indices, so every
     per-index step compares contiguous (d, m) rows and reduces over the d
@@ -267,8 +260,8 @@ def _direct_counts_chunk(gen, d, n, m):
     :func:`_direct_scan` draws.
     """
     counts = np.ones(m, dtype=np.int64)
-    totals = np.zeros((1, n), dtype=np.int64)
-    totals[0, 0] = m
+    totals = np.zeros(n, dtype=np.int64)
+    totals[0] = m
     for t0 in range(0, n, _TILE):
         tile = gen.random((min(_TILE, n - t0), d, m))
         if t0 == 0:
@@ -277,7 +270,7 @@ def _direct_counts_chunk(gen, d, n, m):
             x = tile[j - t0]
             beat = (x <= rec).all(axis=0) & (x < rec).any(axis=0)
             counts += beat
-            totals[0, j] = np.count_nonzero(beat)
+            totals[j] = np.count_nonzero(beat)
             np.copyto(rec, x, where=beat)
     return counts, totals
 
@@ -490,8 +483,8 @@ def sample_chain_counts(
     seed: int,
     label: str | None = None,
     workers: int = 1,
-) -> np.ndarray:
-    """Chain-record counts at horizon n from one of the three simulators.
+) -> Iterator[np.ndarray]:
+    """Chain-record counts at horizon n from one of the three simulators, per chunk.
 
     ``method`` is ``"direct"``, ``"sojourn"`` or ``"insertion"``.  The
     three outputs are equal in distribution; pairwise tests over them are
@@ -511,7 +504,7 @@ def sample_chain_counts(
         fn = lambda gen, k: _sojourn_counts_chunk(gen, d, n, k)
     else:
         fn = lambda gen, k: _insertion_counts_chunk(gen, d, n, k)
-    return _merged(_run_chunked(fn, replicates, seed, label, workers))
+    return _run_chunked(fn, replicates, seed, label, workers)
 
 
 def sample_chain_flag_totals(
@@ -522,18 +515,17 @@ def sample_chain_flag_totals(
     seed: int,
     label: str | None = None,
     workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain-record counts and per-index totals of direct detection.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Chain-record counts and per-index totals of direct detection, per chunk.
 
     ``counts`` equals ``sample_chain_counts("direct", ...)`` under one label
-    for n <= 4096.  Entry j of ``totals`` counts the replicates with a chain
-    record at index j+1; over ``replicates`` it estimates its probability.
+    for n <= 4096.  Entry j of a chunk's ``totals`` counts its replicates with
+    a chain record at index j+1: their sum over ``replicates`` estimates its probability.
     """
     _check_horizon(d, n)
     label = label or f"chain-flags:d={d}:n={n}"
     fn = lambda gen, k: _direct_counts_chunk(gen, d, n, k)
-    counts, totals = _merged(_run_chunked(fn, replicates, seed, label, workers))
-    return counts, totals.sum(axis=0)
+    return _run_chunked(fn, replicates, seed, label, workers)
 
 
 def sample_renewal_counts(
@@ -544,12 +536,12 @@ def sample_renewal_counts(
     seed: int,
     label: str | None = None,
     workers: int = 1,
-) -> np.ndarray:
-    """Renewal counts: stick-breaking heights above 1/n, per replicate."""
+) -> Iterator[np.ndarray]:
+    """Renewal counts: stick-breaking heights above 1/n, per replicate, per chunk."""
     _check_horizon(d, n)
     label = label or f"renewal-counts:d={d}:n={n}"
     fn = lambda gen, k: _renewal_counts_chunk(gen, d, n, k)
-    return _merged(_run_chunked(fn, replicates, seed, label, workers))
+    return _run_chunked(fn, replicates, seed, label, workers)
 
 
 def sample_poisson_paced_terminals(
@@ -561,20 +553,12 @@ def sample_poisson_paced_terminals(
     seed: int,
     label: str | None = None,
     workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jump counts, path integrals and terminal states of the paced process."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Jump counts, path integrals and terminal states of the paced process, per chunk."""
     if d < 1 or not (0 < t_horizon < math.inf and 0 < b0 < math.inf):
         raise ValueError("need d >= 1, t_horizon > 0 and b0 > 0")
     label = label or f"poisson-paced:d={d}:t={t_horizon}:b0={b0}"
     fn = lambda gen, k: _poisson_paced_chunk(gen, d, t_horizon, b0, k)
-    return _merged(_run_chunked(fn, replicates, seed, label, workers))
-
-
-def limit_variable_chunks(d, replicates, *, tolerance=1e-6, seed, label=None, workers=1):
-    """``(values, depths)`` per chunk of :func:`sample_limit_variables`, checked on the call."""
-    _check_tolerance(d, tolerance)
-    label = label or f"limit-variable:d={d}:tol={tolerance}"
-    fn = lambda gen, k: _limit_variable_chunk(gen, d, tolerance, k)
     return _run_chunked(fn, replicates, seed, label, workers)
 
 
@@ -586,10 +570,12 @@ def sample_limit_variables(
     seed: int,
     label: str | None = None,
     workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Limit-variable draws plus the series stop index of each draw."""
-    return _merged(limit_variable_chunks(d, replicates, tolerance=tolerance, seed=seed,
-                                         label=label, workers=workers))
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Limit-variable draws plus the series stop index of each draw, per chunk."""
+    _check_tolerance(d, tolerance)
+    label = label or f"limit-variable:d={d}:tol={tolerance}"
+    fn = lambda gen, k: _limit_variable_chunk(gen, d, tolerance, k)
+    return _run_chunked(fn, replicates, seed, label, workers)
 
 
 def sample_window_counts(
@@ -601,13 +587,13 @@ def sample_window_counts(
     seed: int,
     label: str | None = None,
     workers: int = 1,
-) -> np.ndarray:
-    """Point counts of independent limit-process draws in a fixed window."""
+) -> Iterator[np.ndarray]:
+    """Point counts of independent limit-process draws in a fixed window, per chunk."""
     _check_window(d, window, truncation_tol)
     label = label or f"window-counts:d={d}:window={window}:tol={truncation_tol}"
     fn = lambda gen, k: np.bincount(
         _window_points_chunk(gen, d, window, truncation_tol, k)[0], minlength=k)
-    return _merged(_run_chunked(fn, replicates, seed, label, workers))
+    return _run_chunked(fn, replicates, seed, label, workers)
 
 
 def sample_window_points(

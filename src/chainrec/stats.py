@@ -1,19 +1,19 @@
 """Summaries, the chi-square two-sample test and growth-slope fits.
 
 These are what the commands and the acceptance criteria run: ``simulate``
-reports the mean and standard error of :func:`summarize`, c06 and c11
-compare integer counts with :func:`two_sample_test`, whose p-values
-``verify`` alone holds to a level, and c10 fits log-n growth with
-:func:`regression_slope`.  Each returns numbers, never a verdict.  The
-chi-square tail is in closed form, so the module needs numpy and the
-standard library only.
+and the z-valued criteria fold sampler chunks as they come through
+:func:`summarize`, c06 and c11 compare integer counts with
+:func:`two_sample_test`, whose p-values ``verify`` alone holds to a level,
+and c10 fits log-n growth of :func:`moments` with :func:`regression_slope`.
+Each returns numbers, never a verdict.  The chi-square tail is in closed
+form, so the module needs numpy and the standard library only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -26,12 +26,31 @@ class TestResult:
     pvalue: float
 
 
-def summarize(values: np.ndarray) -> tuple[float, float | None]:
-    """Mean of replicate values and its standard error (None below 2 values)."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n >= 2 else None
-    return float(values.mean()), se
+def moments(chunks: Iterable[np.ndarray]) -> tuple[int, Any, Any]:
+    """Count, mean and sum of squared deviations of the values along the chunks' last axis.
+
+    Each chunk's figures are numpy's, merged in chunk order by the pairwise
+    update of Chan, Golub & LeVeque (1983): one chunk gives numpy's bit for bit.
+    """
+    n, mean, m2 = 0, 0.0, 0.0
+    for chunk in chunks:
+        values = np.asarray(chunk, dtype=float)
+        k = values.shape[-1]
+        chunk_mean = values.mean(axis=-1)
+        deviations = values - chunk_mean[..., None]
+        delta = chunk_mean - mean
+        n += k
+        mean = mean + delta * (k / n)
+        m2 = m2 + (deviations * deviations).sum(axis=-1) + delta * delta * ((n - k) * k / n)
+    return n, mean, m2
+
+
+def summarize(chunks: Iterable[np.ndarray]) -> tuple[Any, Any]:
+    """Mean and standard error (None below 2 values) of :func:`moments`; ValueError if empty."""
+    n, mean, m2 = moments(chunks)
+    if not n:
+        raise ValueError("summarize needs at least one value")
+    return mean.tolist(), (np.sqrt(m2 / (n - 1)) / math.sqrt(n)).tolist() if n >= 2 else None
 
 
 def _is_integer_valued(a: np.ndarray) -> bool:

@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 import chainrec
 from chainrec import exact, samplers, stats
 from chainrec.rng import make_stream, stream_id
@@ -90,12 +92,10 @@ def _judge(measurement, overrides):
     return CriterionResult(key, name, oracle, value, alpha, alpha, value >= alpha)
 
 
-def _z_score(sample_mean, target, sample_sd, n):
-    se = sample_sd / math.sqrt(n)
-    diff = abs(sample_mean - target)
+def _z_score(mean, se, target):
     if se == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / se
+        return 0.0 if mean == target else math.inf
+    return abs(mean - target) / se
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +132,7 @@ def c02_second_index(seed, workers=1):
     marks = gen.random((reps, 2, 3))
     first, second = marks[:, 0, :], marks[:, 1, :]
     beats = (second <= first).all(axis=1) & (second < first).any(axis=1)
-    phat = float(beats.mean())
-    z = _z_score(phat, 0.125, float(beats.std(ddof=1)), reps)
+    z = _z_score(*stats.summarize([beats]), 0.125)
     return [
         (
             "c02",
@@ -226,22 +225,23 @@ def c06_three_simulators(seed, workers=1):
     pairs = [("direct", "sojourn"), ("direct", "insertion"), ("sojourn", "insertion")]
     pvalues, frequency_zs, mean_zs = [], [], []
     for d, n in product((1, 2, 3), (10, 100)):
-        direct, totals = samplers.sample_chain_flag_totals(
+        direct, totals = zip(*samplers.sample_chain_flag_totals(
             d, n, reps, seed=seed, label=f"verify:c06:direct:d={d}:n={n}", workers=workers
-        )
-        counts = {"direct": direct} | {
-            m: samplers.sample_chain_counts(
+        ))
+        counts = {"direct": np.concatenate(direct)} | {
+            m: np.concatenate([*samplers.sample_chain_counts(
                 m, d, n, reps, seed=seed, label=f"verify:c06:{m}:d={d}:n={n}", workers=workers
-            )
+            )])
             for m in ("sojourn", "insertion")
         }
         pvalues += [stats.two_sample_test(counts[m1], counts[m2]).pvalue for m1, m2 in pairs]
         if n == 100:
             table = exact.chain_record_prob_table(d, 20)
-            for phat, p in zip((totals[:20] / reps).tolist(), table):
-                frequency_zs.append(_z_score(phat, float(p), math.sqrt(phat * (1 - phat)), reps))
+            for phat, p in zip((sum(totals)[:20] / reps).tolist(), table):
+                se = math.sqrt(phat * (1 - phat)) / math.sqrt(reps)
+                frequency_zs.append(_z_score(phat, se, float(p)))
             target = float(exact.expected_chain_count(d, 100))
-            mean_zs.append(_z_score(float(direct.mean()), target, float(direct.std(ddof=1)), reps))
+            mean_zs.append(_z_score(*stats.summarize([counts["direct"]]), target))
     return [
         (
             "c06",
@@ -264,12 +264,12 @@ def c08_limit_moments(seed, workers=1):
     reps = 1_000_000
     zs = []
     for d in (1, 2, 3):
-        values, _ = samplers.sample_limit_variables(
+        chunks = samplers.sample_limit_variables(
             d, reps, tolerance=1e-6, seed=seed, label=f"verify:c08:d={d}", workers=workers
         )
-        for beta, data in ((1, values), (2, values**2)):
-            target = float(exact.limit_moment(d, beta))
-            zs.append(_z_score(float(data.mean()), target, float(data.std(ddof=1)), reps))
+        summaries = zip(*stats.summarize(np.stack((y, y * y)) for y, _ in chunks))
+        for beta, (mean, se) in zip((1, 2), summaries):
+            zs.append(_z_score(mean, se, float(exact.limit_moment(d, beta))))
     return [
         (
             "c08",
@@ -283,11 +283,10 @@ def c08_limit_moments(seed, workers=1):
 def c09_compensator(seed, workers=1):
     """Path integral of the paced height process compensates its jump count."""
     reps = 100_000
-    counts, integrals, _ = samplers.sample_poisson_paced_terminals(
+    chunks = samplers.sample_poisson_paced_terminals(
         2, 5.0, reps, seed=seed, label="verify:c09", workers=workers
     )
-    diff = integrals - counts
-    z = _z_score(float(diff.mean()), 0.0, float(diff.std(ddof=1)), reps)
+    z = _z_score(*stats.summarize(integrals - counts for counts, integrals, _ in chunks), 0.0)
     return [
         (
             "c09",
@@ -312,11 +311,11 @@ def c10_growth_slopes(seed, workers=1):
         mean_pairs = []
         var_pairs = []
         for n in horizons:
-            counts = samplers.sample_chain_counts(
+            count, mean, m2 = stats.moments(samplers.sample_chain_counts(
                 "sojourn", d, n, reps, seed=seed, label=f"verify:c10:d={d}:n={n}", workers=workers
-            )
-            mean_pairs.append((math.log(n), float(counts.mean())))
-            var_pairs.append((math.log(n), float(counts.var(ddof=1))))
+            ))
+            mean_pairs.append((math.log(n), mean))
+            var_pairs.append((math.log(n), m2 / (count - 1)))
         mean_errors.append(abs(stats.regression_slope(mean_pairs) - 1 / d) * d)
         var_errors.append(abs(stats.regression_slope(var_pairs) - 1 / d**2) * d**2)
     oracle = ("least-squares slope over n in {1e3..1e6}, sojourn simulator, "
@@ -341,14 +340,10 @@ def c11_hyperbolic_invariance(seed, workers=1):
     The same draws bound each window's mean count against its exact value.
     """
     reps = 10_000
-    base = (0.25, 1.0, 4.0)
-    image = (0.5, 2.0, 2.0)  # the base window mapped by (s, t) -> (2s, t/2)
-    counts_a = samplers.sample_window_counts(
-        2, base, reps, seed=seed, label="verify:c11:base", workers=workers
-    )
-    counts_b = samplers.sample_window_counts(
-        2, image, reps, seed=seed, label="verify:c11:image", workers=workers
-    )
+    windows = {"base": (0.25, 1.0, 4.0), "image": (0.5, 2.0, 2.0)}
+    counts_a, counts_b = (np.concatenate([*samplers.sample_window_counts(
+        2, window, reps, seed=seed, label=f"verify:c11:{name}", workers=workers
+    )]) for name, window in windows.items())
     return [
         (
             "c11",
@@ -360,8 +355,7 @@ def c11_hyperbolic_invariance(seed, workers=1):
             "c11-mean",
             "limit-process window counts have the exact mean",
             f"|z| of each window's mean count vs the exact mean {_C11_WINDOW_MEAN:.6f}",
-            [_z_score(float(c.mean()), _C11_WINDOW_MEAN, float(c.std(ddof=1)), reps)
-             for c in (counts_a, counts_b)],
+            [_z_score(*stats.summarize([c]), _C11_WINDOW_MEAN) for c in (counts_a, counts_b)],
         ),
     ]
 

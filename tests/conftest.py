@@ -1,6 +1,17 @@
-"""Shared fixtures: hand-built mark sequences with pinned record sets."""
+"""Shared fixtures: hand-built mark sequences with pinned record sets, and
+:func:`joined`, which reads a sampler's chunks as one sample."""
 
+import numpy as np
 import pytest
+
+
+def joined(chunks):
+    """A sampler's chunk results, arrays or tuples of arrays, concatenated in chunk order."""
+    chunks = list(chunks)
+    if isinstance(chunks[0], tuple):
+        return tuple(np.concatenate(column) for column in zip(*chunks))
+    return np.concatenate(chunks)
+
 
 # Four marks in the unit square. Expected classification (from the
 # brute-force oracle in test_records): chain records at {1, 2, 4}, weak at

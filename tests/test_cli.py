@@ -13,7 +13,7 @@ import chainrec
 from chainrec import cli, exact, samplers
 from chainrec.cli import _read_marks_csv, main
 
-from conftest import ELEVEN_POINT_CHAIN, ELEVEN_POINT_MARKS, FOUR_POINT_MARKS
+from conftest import ELEVEN_POINT_CHAIN, ELEVEN_POINT_MARKS, FOUR_POINT_MARKS, joined
 from oracles import alternating_weak_prob
 from test_records import oracle_flags
 
@@ -581,7 +581,8 @@ def test_limits_variable_samples(tmp_path):
 
 def test_limits_y_block_writes_equal_one_join(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(samplers, "_CHUNK", 7)  # 50 values: 7 full chunks and 1 value
-    values, _ = samplers.sample_limit_variables(2, 50, seed=3, label="limits:y:d=2:tol=1e-06")
+    values, _ = joined(samplers.sample_limit_variables(2, 50, seed=3,
+                                                       label="limits:y:d=2:tol=1e-06"))
     out = tmp_path / "y.txt"
     for workers in ("1", "2", "3"):
         args = ["limits", "--kind", "y", "--d", "2", "--replicates", "50", "--seed", "3",
@@ -598,14 +599,18 @@ def test_limits_y_block_writes_equal_one_join(tmp_path, monkeypatch, capsys):
 _PEAK_MEMORY_SCRIPT = """
 import sys
 from chainrec.cli import main
-assert main(["limits", "--kind", "y", "--d", "2", "--replicates", sys.argv[1], "--seed", "1",
-             "--out", sys.argv[2]]) == 0
+assert main(sys.argv[1:]) == 0
 status = open("/proc/self/status").read()
 print(next(line.split()[1] for line in status.splitlines() if line.startswith("VmHWM:")))
 """
 
 
-def test_limits_y_peak_memory_is_flat_in_the_sample_size(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["limits", "--kind", "y", "--d", "2"],
+    ["simulate", "--what", "chain-count", "--method", "sojourn", "--d", "2", "--n", "1000"],
+    ["simulate", "--what", "limit-variable", "--d", "2"],
+], ids=["limits-y", "simulate-sojourn", "simulate-limit-variable"])
+def test_peak_memory_is_flat_in_the_sample_size(argv, tmp_path):
     # VmHWM read inside a fresh child: a child's ru_maxrss starts at its parent's image
     try:
         with open("/proc/self/status") as fh:
@@ -618,7 +623,8 @@ def test_limits_y_peak_memory_is_flat_in_the_sample_size(tmp_path):
     peaks = []
     for draws in (100_000, 1_000_000):
         proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_MEMORY_SCRIPT, str(draws), str(tmp_path / "y.txt")],
+            [sys.executable, "-c", _PEAK_MEMORY_SCRIPT, *argv, "--replicates", str(draws),
+             "--seed", "1", "--out", str(tmp_path / "out")],
             capture_output=True, text=True, env=env, timeout=120, check=True,
         )
         peaks.append(int(proc.stdout) / 1024)  # kB to MB

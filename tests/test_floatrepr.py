@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from chainrec import samplers
 from chainrec._floatrepr import _shortest, repr_lines
+from conftest import joined
 
 
 def reference(values):
@@ -95,7 +96,8 @@ def test_short_decimals():
 
 def test_limit_draws_take_the_array_path():
     for d in (1, 2, 3):
-        values, _ = samplers.sample_limit_variables(d, 100_000, seed=d, label=f"test:y:d={d}")
+        values, _ = joined(samplers.sample_limit_variables(d, 100_000, seed=d,
+                                                           label=f"test:y:d={d}"))
         assert_same_text(values)
         # only draws below 1e-4 and rare near-ties go to repr
         assert certified(values) > 0.99 * len(values)

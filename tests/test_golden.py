@@ -24,7 +24,7 @@ import pytest
 from chainrec import samplers
 from chainrec.cli import main
 from chainrec.rng import make_stream, stream_id
-from conftest import ELEVEN_POINT_MARKS, FOUR_POINT_MARKS
+from conftest import ELEVEN_POINT_MARKS, FOUR_POINT_MARKS, joined
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 SEED = 20240917
@@ -103,19 +103,21 @@ def _chunks_of(size):
 
 
 LIBRARY_CASES = {
-    "chain-counts-direct": _chunks_of(1500)(lambda: samplers.sample_chain_counts(
-        "direct", 3, 30, 5000, seed=SEED, label="golden:direct").tobytes()),
-    "chain-counts-sojourn": _chunks_of(1500)(lambda: samplers.sample_chain_counts(
-        "sojourn", 2, 10**5, 5000, seed=SEED, label="golden:sojourn").tobytes()),
-    "chain-counts-insertion": _chunks_of(1500)(lambda: samplers.sample_chain_counts(
-        "insertion", 2, 60, 5000, seed=SEED, label="golden:insertion").tobytes()),
-    # one chunk of 2,500 replicates x 1,000 marks x d=2: 5 million doubles
-    "chain-flag-totals": lambda: samplers.sample_chain_flag_totals(
-        2, 1000, 2500, seed=SEED, label="golden:flags")[1].tobytes(),
-    "chain-flag-totals-chunks": _chunks_of(1500)(lambda: samplers.sample_chain_flag_totals(
-        3, 20, 5000, seed=SEED, label="golden:flags", workers=2)[1].tobytes()),
-    "window-counts": _chunks_of(128)(lambda: samplers.sample_window_counts(
-        2, (0.25, 1.0, 4.0), 300, seed=SEED, label="golden:window").tobytes()),
+    "chain-counts-direct": _chunks_of(1500)(lambda: joined(samplers.sample_chain_counts(
+        "direct", 3, 30, 5000, seed=SEED, label="golden:direct")).tobytes()),
+    "chain-counts-sojourn": _chunks_of(1500)(lambda: joined(samplers.sample_chain_counts(
+        "sojourn", 2, 10**5, 5000, seed=SEED, label="golden:sojourn")).tobytes()),
+    "chain-counts-insertion": _chunks_of(1500)(lambda: joined(samplers.sample_chain_counts(
+        "insertion", 2, 60, 5000, seed=SEED, label="golden:insertion")).tobytes()),
+    # one chunk of 2,500 replicates x 1,000 marks x d=2: 5 million doubles; the
+    # per-index totals are summed over the chunks
+    "chain-flag-totals": lambda: sum(totals for _, totals in samplers.sample_chain_flag_totals(
+        2, 1000, 2500, seed=SEED, label="golden:flags")).tobytes(),
+    "chain-flag-totals-chunks": _chunks_of(1500)(lambda: sum(
+        totals for _, totals in samplers.sample_chain_flag_totals(
+            3, 20, 5000, seed=SEED, label="golden:flags", workers=2)).tobytes()),
+    "window-counts": _chunks_of(128)(lambda: joined(samplers.sample_window_counts(
+        2, (0.25, 1.0, 4.0), 300, seed=SEED, label="golden:window")).tobytes()),
     "simulate-direct-traces": lambda: _traces(
         samplers.simulate_direct(g, 2, 20000) for g in _streams("golden:direct-trace", 5)),
     # single draws: the kernel at m=1, as a Python int or float

@@ -21,6 +21,7 @@ from chainrec.samplers import (
     simulate_direct,
     simulate_sojourn,
 )
+from conftest import joined
 from oracles import (
     chain_record_indices,
     expected_weak_count_table,
@@ -98,7 +99,7 @@ def test_a_key_that_is_not_an_integer_is_not_truncated():
         with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
             make_stream(*key)
     with pytest.raises(TypeError, match="^seed must be an integer, got 1.9$"):
-        sample_chain_counts("sojourn", 2, 100, 5, seed=1.9)
+        joined(sample_chain_counts("sojourn", 2, 100, 5, seed=1.9))
 
 
 def test_numpy_integer_keys_draw_the_stream_of_their_value():
@@ -112,8 +113,8 @@ def test_batch_counts_independent_of_worker_count(monkeypatch):
     monkeypatch.setattr(samplers, "_CHUNK", 700)
     kwargs = dict(seed=SEED, label="test:workers")
     for method in ("direct", "sojourn", "insertion"):
-        one = sample_chain_counts(method, 2, 50, 3000, workers=1, **kwargs)
-        four = sample_chain_counts(method, 2, 50, 3000, workers=4, **kwargs)
+        one = joined(sample_chain_counts(method, 2, 50, 3000, workers=1, **kwargs))
+        four = joined(sample_chain_counts(method, 2, 50, 3000, workers=4, **kwargs))
         assert np.array_equal(one, four)
 
 
@@ -235,13 +236,14 @@ def test_direct_matches_records_module_per_seed(monkeypatch):
 
 
 def test_direct_mean_count_matches_exact():
-    counts = sample_chain_counts("direct", 2, 7, 30000, seed=SEED, label="test:n7")
+    counts = joined(sample_chain_counts("direct", 2, 7, 30000, seed=SEED, label="test:n7"))
     assert zscore(counts, float(exact.expected_chain_count(2, 7))) < 4
 
 
 def test_direct_per_index_probabilities():
     reps = 30000
-    _, totals = samplers.sample_chain_flag_totals(2, 10, reps, seed=SEED, label="test:flags")
+    _, totals = zip(*samplers.sample_chain_flag_totals(2, 10, reps, seed=SEED, label="test:flags"))
+    totals = sum(totals)
     table = exact.chain_record_prob_table(2, 10)
     assert totals[0] == reps
     for n in range(2, 11):
@@ -258,8 +260,9 @@ def test_flag_totals_count_what_the_direct_counts_driver_counts(chunk, monkeypat
         monkeypatch.setattr(samplers, "_CHUNK", chunk)  # four full chunks and a short one
     for d, n in ((1, 10), (2, 100), (3, 65)):
         kwargs = dict(seed=SEED, label=f"test:flags:d={d}:n={n}")
-        counts, totals = samplers.sample_chain_flag_totals(d, n, 3000, workers=2, **kwargs)
-        assert np.array_equal(counts, sample_chain_counts("direct", d, n, 3000, **kwargs))
+        counts, totals = zip(*samplers.sample_chain_flag_totals(d, n, 3000, workers=2, **kwargs))
+        counts, totals = joined(counts), sum(totals)
+        assert np.array_equal(counts, joined(sample_chain_counts("direct", d, n, 3000, **kwargs)))
         assert counts.dtype == totals.dtype == np.int64
         assert totals.shape == (n,) and totals[0] == 3000
         assert counts.sum() == totals.sum()
@@ -293,7 +296,7 @@ def test_tiled_direct_kernel_equals_the_scalar_scan(d, n, grid):
         counts, totals = samplers._direct_counts_chunk(_stream(grid, 35 + key), d, n, 1)
         times, _ = samplers._direct_scan(_stream(grid, 35 + key), d, n)
         assert counts.tolist() == [len(times)]
-        assert (np.flatnonzero(totals[0]) + 1).tolist() == times
+        assert (np.flatnonzero(totals) + 1).tolist() == times
 
 
 def _tiled_marks(gen, d, n, m):
@@ -313,7 +316,7 @@ def test_tiled_direct_kernel_equals_a_per_column_oracle(d, n, grid):
     records = [chain_record_indices(marks[:, :, r].tolist()) for r in range(m)]
     assert counts.tolist() == [len(times) for times in records]
     flags = np.bincount([t - 1 for times in records for t in times], minlength=n)
-    assert totals.tolist() == [flags.tolist()]
+    assert totals.tolist() == flags.tolist()
 
 
 def _reduction_mask_scan(rng, d, max_marks, max_records, block_size=1 << 16):
@@ -390,7 +393,8 @@ def test_sojourn_kernel_at_one_replicate_counts_the_scalar_trace(d):
 @pytest.mark.parametrize("n", [6 * 10**18, 2**63 - 1024])
 def test_sojourn_kernel_counts_horizons_past_2_to_the_62(n):
     # t + gap passes 2^63 here unless each gap is capped at the room left, n + 1 - t
-    kernel = sample_chain_counts("sojourn", 2, n, 2000, seed=SEED, label="test:sojourn:huge")
+    kernel = joined(sample_chain_counts("sojourn", 2, n, 2000, seed=SEED,
+                                        label="test:sojourn:huge"))
     gen = make_stream(SEED, 49)
     loop = [simulate_sojourn(gen, 2, n).count for _ in range(2000)]
     res = stats.two_sample_test(kernel, np.array(loop))
@@ -403,7 +407,7 @@ def test_sojourn_kernel_rejects_a_horizon_past_its_largest():
     assert time.perf_counter() - start < 5
     for n in (2**63 - 1023, 2**63 - 1, 2**64):
         with pytest.raises(ValueError, match=r"n = 2\^63 - 1024 = 9223372036854774784"):
-            sample_chain_counts("sojourn", 2, n, 10, seed=SEED)
+            joined(sample_chain_counts("sojourn", 2, n, 10, seed=SEED))
 
 
 def test_sojourn_single_mark():
@@ -412,8 +416,8 @@ def test_sojourn_single_mark():
 
 
 def test_sojourn_matches_direct_distribution():
-    a = sample_chain_counts("direct", 2, 100, 30000, seed=SEED, label="test:eq:a")
-    b = sample_chain_counts("sojourn", 2, 100, 30000, seed=SEED, label="test:eq:b")
+    a = joined(sample_chain_counts("direct", 2, 100, 30000, seed=SEED, label="test:eq:a"))
+    b = joined(sample_chain_counts("sojourn", 2, 100, 30000, seed=SEED, label="test:eq:b"))
     res = stats.two_sample_test(a, b)
     assert res.pvalue >= 0.001, res
 
@@ -754,14 +758,14 @@ def test_insertion_single_mark():
 
 
 def test_insertion_dimension_one_matches_classical_records():
-    counts = sample_chain_counts("insertion", 1, 50, 30000, seed=SEED, label="test:ins1")
+    counts = joined(sample_chain_counts("insertion", 1, 50, 30000, seed=SEED, label="test:ins1"))
     harmonic = float(expected_weak_count_table(1, 50)[-1])  # harmonic number
     assert zscore(counts, harmonic) < 4
 
 
 def test_three_way_agreement_small():
     samples = {
-        m: sample_chain_counts(m, 2, 100, 20000, seed=SEED, label=f"test:threeway:{m}")
+        m: joined(sample_chain_counts(m, 2, 100, 20000, seed=SEED, label=f"test:threeway:{m}"))
         for m in ("direct", "sojourn", "insertion")
     }
     for a, b in (("direct", "sojourn"), ("direct", "insertion"), ("sojourn", "insertion")):
@@ -824,7 +828,7 @@ def test_renewal_kernel_draws_only_for_its_active_rows(d, n, m):
 
 
 def test_renewal_count_mean():
-    counts = sample_renewal_counts(2, 10**4, 100000, seed=SEED, label="test:renewal")
+    counts = joined(sample_renewal_counts(2, 10**4, 100000, seed=SEED, label="test:renewal"))
     target = math.log(10**4) / 2
     assert abs(counts.mean() - target) / target < 0.10
     assert zscore(counts, counts.mean()) == 0  # sanity: zscore helper
@@ -935,9 +939,9 @@ def test_paced_kernel_draws_only_for_its_running_rows(d, t_end, b0, m):
 
 
 def test_compensator_identity_small():
-    counts, integrals, _ = sample_poisson_paced_terminals(
+    counts, integrals, _ = joined(sample_poisson_paced_terminals(
         2, 3.0, 30000, seed=SEED, label="test:comp"
-    )
+    ))
     diff = integrals - counts
     assert zscore(diff, 0.0) < 4
 
@@ -945,17 +949,19 @@ def test_compensator_identity_small():
 def test_paced_mean_state_matches_moment_series():
     for d in (1, 2):
         for t in (1.0, 2.0, 5.0):
-            _, _, states = sample_poisson_paced_terminals(
+            _, _, states = joined(sample_poisson_paced_terminals(
                 d, t, 30000, seed=SEED, label=f"test:bt:{d}:{t}"
-            )
+            ))
             assert zscore(states, exact.moment_series(d, 1, t)) < 4, (d, t)
 
 
 def test_paced_self_similarity():
     # scaling time by b and space by 1/b maps the process started at 1 to
     # the process started at b
-    _, _, s1 = sample_poisson_paced_terminals(2, 2.0, 10000, b0=1.0, seed=SEED, label="test:ss1")
-    _, _, s2 = sample_poisson_paced_terminals(2, 1.0, 10000, b0=2.0, seed=SEED, label="test:ss2")
+    _, _, s1 = joined(sample_poisson_paced_terminals(2, 2.0, 10000, b0=1.0, seed=SEED,
+                                                     label="test:ss1"))
+    _, _, s2 = joined(sample_poisson_paced_terminals(2, 1.0, 10000, b0=2.0, seed=SEED,
+                                                     label="test:ss2"))
     res = scipy.stats.ks_2samp(2.0 * s1, s2)
     assert res.pvalue >= 0.01, res
 
@@ -1021,7 +1027,7 @@ def test_straddle_pair_invariants_and_law():
 
 def test_limit_variable_moments_small():
     for d in (1, 2):
-        values, depths = sample_limit_variables(d, 200000, seed=SEED, label=f"test:y:{d}")
+        values, depths = joined(sample_limit_variables(d, 200000, seed=SEED, label=f"test:y:{d}"))
         assert zscore(values, float(exact.limit_moment(d, 1))) < 4
         assert zscore(values**2, float(exact.limit_moment(d, 2))) < 4
         assert depths.min() >= 0
@@ -1029,7 +1035,7 @@ def test_limit_variable_moments_small():
 
 def test_limit_variable_alternative_sampler_dimension_two():
     # at d=2 the limit variable is an exponential times an independent uniform
-    values, _ = sample_limit_variables(2, 50000, seed=SEED, label="test:y:eu")
+    values, _ = joined(sample_limit_variables(2, 50000, seed=SEED, label="test:y:eu"))
     gen = make_stream(SEED, 93)
     alt = gen.exponential(size=50000) * gen.random(50000)
     res = scipy.stats.ks_2samp(values, alt)
@@ -1087,8 +1093,8 @@ def _limit_law_worst_z(d, tolerance, draws=400_000):
     ``_LAW_PROBABILITIES``, from 0.1% up, so that a truncation bias at small
     values shows.
     """
-    values, _ = sample_limit_variables(d, draws, tolerance=tolerance, seed=SEED,
-                                       label=f"test:limit-law:d={d}")
+    values, _ = joined(sample_limit_variables(d, draws, tolerance=tolerance, seed=SEED,
+                                              label=f"test:limit-law:d={d}"))
     values.sort()
     at = values[(np.array(_LAW_PROBABILITIES) * draws).astype(int)]
     empirical = np.searchsorted(values, at, side="right") / draws
@@ -1135,7 +1141,7 @@ def test_limit_variables_reject_a_tolerance_that_is_not_finite_and_positive(tole
 def test_limit_variables_draw_past_the_dimension_where_2_to_the_d_overflows():
     # the tail bound 1/(2^d - 1) overflowed a double from d = 1024
     for d in (1023, 1024, 1100):
-        y, depth = sample_limit_variables(d, 10, seed=SEED)
+        y, depth = joined(sample_limit_variables(d, 10, seed=SEED))
         assert np.isfinite(y).all() and (y >= 0).all() and (depth == 0).all(), d
 
 
@@ -1160,8 +1166,8 @@ def test_window_points_lie_in_window_and_times_increase():
 
 
 def test_window_counts_hyperbolic_invariance_small():
-    a = sample_window_counts(2, (0.25, 1.0, 4.0), 4000, seed=SEED, label="test:w:a")
-    b = sample_window_counts(2, (0.5, 2.0, 2.0), 4000, seed=SEED, label="test:w:b")
+    a = joined(sample_window_counts(2, (0.25, 1.0, 4.0), 4000, seed=SEED, label="test:w:a"))
+    b = joined(sample_window_counts(2, (0.5, 2.0, 2.0), 4000, seed=SEED, label="test:w:b"))
     res = stats.two_sample_test(a, b)
     assert res.pvalue >= 0.001, res
 
@@ -1188,7 +1194,7 @@ def test_window_kernel_at_one_replicate_counts_the_points_sampler(window):
 
 def test_window_kernel_rows_have_the_law_of_the_points_sampler():
     window = (0.05, 3.0, 10.0)
-    batch = sample_window_counts(2, window, 4000, seed=SEED, label="test:w:batch")
+    batch = joined(sample_window_counts(2, window, 4000, seed=SEED, label="test:w:batch"))
     gen = make_stream(SEED, 99)
     points = [len(limit_process_points(gen, 2, window)) for _ in range(4000)]
     res = stats.two_sample_test(batch, np.array(points))
@@ -1200,8 +1206,8 @@ _MEAN_WINDOWS = [(0.25, 1.0, 4.0), (0.5, 2.0, 2.0), (0.05, 3.0, 10.0)]
 
 
 def _window_mean_z(d, window, draws=100_000):
-    counts = sample_window_counts(d, window, draws, seed=SEED,
-                                  label=f"test:window-mean:d={d}:window={window}")
+    counts = joined(sample_window_counts(d, window, draws, seed=SEED,
+                                         label=f"test:window-mean:d={d}:window={window}"))
     return zscore(counts, window_mean(d, window))
 
 
@@ -1263,10 +1269,37 @@ def test_window_counts_reject_bad_arguments_before_drawing(window, tol, monkeypa
         sample_window_counts(2, window, 10, truncation_tol=tol, seed=SEED)
 
 
+# a bad value of each check the other wrappers make, as they are called
+BAD_ARGUMENTS = {
+    "chain-counts-d0": lambda: sample_chain_counts("sojourn", 0, 10, 5, seed=SEED),
+    "chain-counts-workers0": lambda: sample_chain_counts("direct", 2, 10, 5, seed=SEED, workers=0),
+    "chain-flag-totals-replicates0": lambda: samplers.sample_chain_flag_totals(2, 10, 0, seed=SEED),
+    "renewal-counts-d0": lambda: sample_renewal_counts(0, 10, 5, seed=SEED),
+    "renewal-counts-n0": lambda: sample_renewal_counts(2, 0, 5, seed=SEED),
+    "poisson-paced-t-inf": lambda: sample_poisson_paced_terminals(2, math.inf, 5, seed=SEED),
+    "poisson-paced-b0-inf": lambda: sample_poisson_paced_terminals(2, 1.0, 5, b0=math.inf,
+                                                                   seed=SEED),
+    "limit-variables-tolerance-inf": lambda: sample_limit_variables(2, 5, tolerance=math.inf,
+                                                                    seed=SEED),
+    "limit-variables-workers0": lambda: sample_limit_variables(2, 5, seed=SEED, workers=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_sample_wrappers_reject_bad_arguments_on_the_call(case, monkeypatch):
+    # the iterator is never read, so a check deferred to its first chunk would not raise
+    def no_draws(*args):
+        raise AssertionError("drew before checking its arguments")
+
+    monkeypatch.setattr(samplers, "make_stream", no_draws)
+    with pytest.raises(ValueError):
+        BAD_ARGUMENTS[case]()
+
+
 def test_window_counts_run_past_the_dimension_where_e_to_the_d_overflows():
     # the tail bound 1/(e^d - 1) overflowed a double from d = 710
     for d in (709, 710):
-        counts = sample_window_counts(d, (0.25, 1.0, 4.0), 50, seed=SEED)
+        counts = joined(sample_window_counts(d, (0.25, 1.0, 4.0), 50, seed=SEED))
         assert counts.shape == (50,) and (counts >= 0).all(), d
 
 

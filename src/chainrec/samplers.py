@@ -209,14 +209,15 @@ def _run_chunked(chunk_fn, total, seed, label, workers):
     """An iterator of ``chunk_fn(gen, m)`` over ``total`` replicates in chunks, in order.
 
     Chunk i holds ``_CHUNK`` replicates (the last one the remainder) from substream i
-    of ``label``.  ``total`` and ``workers`` are checked on the call; each chunk is
-    drawn, its seed checked, as the iterator is read, at most 2 * workers ahead.
+    of ``label``.  ``total``, ``workers`` and the seed are checked on the call; each
+    chunk is drawn as the iterator is read, at most 2 * workers ahead.
     """
     if total < 1:
         raise ValueError("replicates must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     sid = stream_id(label)
+    make_stream(seed, sid)  # rng's key check, before any chunk is asked for
     count = len(range(0, total, _CHUNK))
     one = lambda i: chunk_fn(make_stream(seed, sid, i), min(_CHUNK, total - i * _CHUNK))
     if workers <= 1:

@@ -1,5 +1,6 @@
 """CLI tests: formats, error handling, reproducibility, precedence."""
 
+import gc
 import json
 import os
 import subprocess
@@ -378,6 +379,15 @@ def test_a_seed_past_2_to_the_128_is_an_error(capsys):
     assert "seed must be >= 0 and below 2^128" in capsys.readouterr().err
 
 
+def test_limits_with_a_seed_past_2_to_the_128_writes_nothing(capsys):
+    # the seed is checked on the sampler's call, before the header is written
+    assert main(["limits", "--kind", "y", "--d", "2", "--replicates", "5",
+                 "--seed", str(2**128)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "seed must be >= 0 and below 2^128" in err
+
+
 def test_simulate_is_reproducible_across_workers(tmp_path):
     base = ["simulate", "--what", "chain-count", "--d", "2", "--n", "50",
             "--replicates", "3000", "--seed", "7"]
@@ -596,10 +606,12 @@ def test_limits_y_block_writes_equal_one_join(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out == text
 
 
+# the program entry, as users run it: the cyclic collector is off throughout
 _PEAK_MEMORY_SCRIPT = """
 import sys
-from chainrec.cli import main
-assert main(sys.argv[1:]) == 0
+from chainrec.__main__ import main
+sys.argv = ["chainrec", *sys.argv[1:]]
+assert main() == 0
 status = open("/proc/self/status").read()
 print(next(line.split()[1] for line in status.splitlines() if line.startswith("VmHWM:")))
 """
@@ -935,6 +947,44 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "1/8" in proc.stdout
+
+
+# The program entry runs its command with the cyclic collector off and
+# freezes what is left before exit; the library entry leaves it alone.
+_PROGRAM_ENTRY_SCRIPT = """
+import contextlib
+import gc
+import io
+import sys
+
+import chainrec.__main__
+
+sys.argv = ["chainrec", "exact", "--d", "2", "--n", "4"]
+before = [stats["collections"] for stats in gc.get_stats()]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = chainrec.__main__.main()
+after = [stats["collections"] for stats in gc.get_stats()]
+assert code == 0 and "1/8" in out.getvalue(), (code, out.getvalue())
+assert after == before, (before, after)
+assert gc.get_freeze_count() > 0
+print("ok")
+"""
+
+
+def test_the_program_entry_runs_without_the_cyclic_collector(tmp_path):
+    _run_fresh(_PROGRAM_ENTRY_SCRIPT, tmp_path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_the_library_entry_leaves_the_collector_as_it_found_it(enabled, capsys):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(["exact", "--d", "2", "--n", "4"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # ---------------------------------------------------------------------------

@@ -1296,6 +1296,18 @@ def test_sample_wrappers_reject_bad_arguments_on_the_call(case, monkeypatch):
         BAD_ARGUMENTS[case]()
 
 
+@pytest.mark.parametrize("seed, error", [(1.9, TypeError), (-1, ValueError), (2**128, ValueError)],
+                         ids=["float", "negative", "2^128"])
+@pytest.mark.parametrize("sample", [
+    lambda seed: sample_chain_counts("sojourn", 2, 100, 5, seed=seed),
+    lambda seed: sample_limit_variables(2, 5, seed=seed),
+], ids=["chain-counts", "limit-variables"])
+def test_sample_wrappers_reject_a_bad_seed_on_the_call(sample, seed, error):
+    # rng's own key check, made before the iterator is read
+    with pytest.raises(error, match="seed must be"):
+        sample(seed)
+
+
 def test_window_counts_run_past_the_dimension_where_e_to_the_d_overflows():
     # the tail bound 1/(e^d - 1) overflowed a double from d = 710
     for d in (709, 710):

@@ -25,9 +25,9 @@ kernel).  Two laws keep a second path, held equal to the first by tests:
 Every height factor, the product U1*...*Ud by which a stick-breaking step
 multiplies a height, is one :func:`_height_factor_column` draw; the
 log-space kernels (sojourn, renewal, window) take its log, and one that
-underflows to 0 ends its row.  The two gamma draws are other laws:
-``_straddle``'s Gamma(d+1), whose product form would underflow from d near
-700, and the limit kernel's stationary Gamma(k), k varying per row.
+underflows to 0 ends its row.  Both limit-law kernels start from the one
+gamma draw, :func:`_straddle`'s Gamma(d+1), as its product form would
+underflow from d near 700; every exponential is ``standard_exponential``.
 
 A kernel draws a value only for a replicate that uses it: the kernels
 that stop early keep an index array of the rows still active (the window
@@ -366,7 +366,7 @@ def _poisson_paced_chunk(gen, d, t_end, b0, m):
     rows, t = np.arange(m), np.zeros(m)  # the running rows and their times
     while rows.size:
         state = b[rows]
-        hold = gen.exponential(size=rows.size) / state
+        hold = gen.standard_exponential(rows.size) / state
         t_new = t + hold
         over = t_new > t_end
         end, jump = np.flatnonzero(over), np.flatnonzero(~over)
@@ -382,22 +382,21 @@ def _limit_variable_chunk(gen, d, tolerance, m):
     """The limit-variable kernel: m draws and the series stop index of each.
 
     The variable is the series sum_k E_k * P_k with independent standard
-    exponentials E_k and P_k the running product of one stationary factor
-    followed by ordinary height factors.  The stationary factor's negative
-    log is Gamma(k, 1) with k uniform on {1..d}, the equilibrium law of the
-    height stick-breaking chain.  The series stops once the expected
-    remainder P_k/(2^d - 1) drops below ``tolerance``.
+    exponentials E_k and P_k the running product of one stationary factor,
+    :func:`_straddle`'s lower side, and then ordinary height factors.  Its
+    -log, U * Gamma(d+1), has density Gamma(d, x)/d!, the mean of the
+    Gamma(1..d) densities: the height chain's equilibrium law.  The series
+    stops once the expected remainder P_k/(2^d - 1) drops below ``tolerance``.
 
-    Draw order: the shapes, stationary factors and first exponentials for
-    all m rows, then per step one height-factor row and one exponential for
-    each row still active.  ``rows``, ``p`` and ``y_rows`` hold the active
-    rows only, so the kernel draws ``depth.sum()`` height-factor rows in
-    all, and at m=1 it draws what a lone series draws.
+    Draw order: the straddle's gamma and uniform columns and the first
+    exponentials for all m rows, then per step one height-factor row and
+    one exponential for each row still active.  ``rows``, ``p`` and
+    ``y_rows`` hold the active rows only, so the kernel draws ``depth.sum()``
+    height-factor rows in all, and at m=1 it draws what a lone series draws.
     """
     t = math.ldexp(1.0, -d)
     tail_ratio = t / (1 - t)  # 1/(2^d - 1), which overflows from d = 1024
-    shapes = gen.integers(1, d + 1, size=m)
-    p = np.exp(-gen.standard_gamma(shapes))
+    p = np.exp(-_straddle(gen, d, m)[1])
     y = gen.standard_exponential(m) * p
     depth = np.zeros(m, dtype=np.int64)
     rows = np.flatnonzero(p * tail_ratio >= tolerance)
@@ -460,14 +459,14 @@ def _window_points_chunk(gen, d, window, truncation_tol, m):
     arrivals = []  # (rows, heights, arrival times) of each step, in draw order
     for rows, x in reversed(levels):
         xi = np.exp(-x)
-        sigma[rows] += gen.exponential(size=rows.size) / xi
+        sigma[rows] += gen.standard_exponential(rows.size) / xi
         arrivals.append((rows, xi, sigma[rows]))
     x = x0.copy()
     rows = np.flatnonzero(sigma <= t_hi)
     while rows.size:
         x[rows] -= np.log(_height_factor_column(gen, d, rows.size))
         xi = np.exp(-x[rows])
-        sigma[rows] += gen.exponential(size=rows.size) / xi
+        sigma[rows] += gen.standard_exponential(rows.size) / xi
         arrivals.append((rows, xi, sigma[rows]))
         rows = rows[(xi >= s_lo) & (arrivals[-1][2] <= t_hi)]
     rows, xi, times = (np.concatenate(column) for column in zip(*arrivals))

@@ -171,14 +171,14 @@ def limit_process_points(rng, d: int, window, truncation_tol: float = 1e-9):
     sigma = 0.0  # neglected tail below the truncation index counts as zero
     for x in grid:
         xi = math.exp(-x)
-        sigma += float(rng.exponential()) / xi
+        sigma += float(rng.standard_exponential()) / xi
         if s_lo <= xi <= s_hi and sigma <= t_hi:
             points.append((xi, sigma))
     x = grid[-1]
     while sigma <= t_hi:
         x -= math.log(math.prod(rng.random(d)))
         xi = math.exp(-x)
-        sigma += float(rng.exponential()) / xi
+        sigma += float(rng.standard_exponential()) / xi
         if xi < s_lo:
             break
         if xi <= s_hi and sigma <= t_hi:

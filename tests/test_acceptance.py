@@ -285,7 +285,7 @@ def test_c09_fails_when_the_path_integrals_are_two_percent_large(monkeypatch):
 
 
 def test_c08_fails_when_the_limit_series_stops_at_a_tolerance_of_one_percent(monkeypatch):
-    # the clean sampler reads 2.32 at DEFAULT_SEED, this defect 7.68 (bound 4)
+    # the clean sampler reads 2.02 at DEFAULT_SEED, this defect 6.56 (bound 4)
     chunk = samplers._limit_variable_chunk
 
     def truncated(gen, d, tolerance, m):

@@ -600,6 +600,36 @@ class RecordedDraws(DrawSizes):
         self.draws.append((name, np.array(out)))
 
 
+# NEP 19 lets a Generator method's values change between numpy releases, so
+# each method a kernel calls is one more way a digest could move: every
+# kernel draws through three methods at most, and only _straddle draws a gamma.
+_KERNEL_METHODS = {
+    "direct": (lambda g: samplers._direct_counts_chunk(g, 2, 100, 30), {"random"}),
+    "direct-scan": (lambda g: samplers._direct_scan(g, 2, 3000), {"random"}),
+    "insertion": (lambda g: samplers._insertion_counts_chunk(g, 2, 200, 30), {"random"}),
+    "sojourn": (lambda g: samplers._sojourn_counts_chunk(g, 2, 10**5, 30), {"random"}),
+    "sojourn-trace": (lambda g: simulate_sojourn(g, 2, 10**5), {"random"}),
+    "renewal": (lambda g: samplers._renewal_counts_chunk(g, 2, 10**4, 30), {"random"}),
+    "paced": (lambda g: samplers._poisson_paced_chunk(g, 2, 5.0, 2.0, 30),
+              {"random", "standard_exponential"}),
+    "limit": (lambda g: samplers._limit_variable_chunk(g, 2, 1e-6, 30),
+              {"gamma", "random", "standard_exponential"}),
+    "window": (lambda g: samplers._window_points_chunk(g, 2, (0.25, 1.0, 4.0), 1e-9, 30),
+               {"gamma", "random", "standard_exponential"}),
+    "straddle": (lambda g: samplers._straddle(g, 2, 30), {"gamma", "random"}),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_METHODS))
+def test_each_kernel_draws_through_its_pinned_generator_methods(kernel):
+    draw, methods = _KERNEL_METHODS[kernel]
+    gen = RecordedDraws(make_stream(SEED, 106))
+    draw(gen)
+    assert {name for name, _ in gen.draws} == methods
+    # the limit laws' one gamma draw is the straddle that starts them
+    assert [name for name, _ in gen.draws].count("gamma") == ("gamma" in methods)
+
+
 # The batch driver cuts every law into chunks of ``_CHUNK`` replicates and
 # leaves memory to the kernels: at one full chunk, no kernel draws a block
 # that grows with n.
@@ -664,7 +694,7 @@ def _window_rows(draws, d, window, m, truncation_tol=1e-9):
     sigma = [0.0] * m
     points = []
     for k in reversed(range(max(map(len, grids.values())))):
-        for r, e in take("exponential", [r for r in everyone if len(grids[r]) > k]):
+        for r, e in take("standard_exponential", [r for r in everyone if len(grids[r]) > k]):
             xi = math.exp(-grids[r][k])
             sigma[r] += e / xi
             points.append((r, xi, sigma[r]))
@@ -675,7 +705,7 @@ def _window_rows(draws, d, window, m, truncation_tol=1e-9):
         for r, f in take("random", going, (d,)):
             x[r] -= math.log(math.prod(f))
             heights[r] = math.exp(-x[r])
-        for r, e in take("exponential", going):
+        for r, e in take("standard_exponential", going):
             sigma[r] += e / heights[r]
             points.append((r, heights[r], sigma[r]))
         going = [r for r in going if heights[r] >= s_lo and sigma[r] <= t_hi]
@@ -868,7 +898,7 @@ def _paced_path(gen, d, t_end, b0):
     jumps, states = [], [b0]
     t = 0.0
     while True:
-        t += gen.exponential(size=1)[0] / states[-1]
+        t += gen.standard_exponential(1)[0] / states[-1]
         if t > t_end:
             return jumps, states
         jumps.append(t)
@@ -904,7 +934,7 @@ def _paced_rows(draws, d, t_end, b0, m):
     order, so every draw must have as many rows as use it.
     """
     names = [name for name, _ in draws]
-    assert names == ["exponential", "random"] * (len(draws) // 2)
+    assert names == ["standard_exponential", "random"] * (len(draws) // 2)
     counts, integral, b, t = [0] * m, [0.0] * m, [float(b0)] * m, [0.0] * m
     active = list(range(m))
     for (_, exponentials), (_, factors) in zip(draws[::2], draws[1::2]):
@@ -1016,6 +1046,14 @@ def test_stationary_factor_matches_density():
     assert scipy.stats.kstest(draws, _stationary_cdf(3)).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 30])
+def test_limit_kernel_starts_from_the_straddles_lower_side(d):
+    # the stationary factor is exp(-x) of the straddle's at-or-below point, bit for bit
+    factors = _stationary_factors(105, d, 1000)
+    _, x0 = samplers._straddle(make_stream(SEED, 105), d, 1000)
+    assert factors.tolist() == np.exp(-x0).tolist()
+
+
 def test_straddle_pair_invariants_and_law():
     gen = make_stream(SEED, 92)
     above, below = np.exp(-np.array(samplers._straddle(gen, 2, 20000)))
@@ -1045,17 +1083,19 @@ def test_limit_variable_alternative_sampler_dimension_two():
 def _limit_rows(draws, d, tolerance, m):
     """The limit kernel's values and depths, replayed from its recorded draws one row at a time.
 
-    ``draws`` are the shapes, stationary factors and first exponentials of
-    all m rows, then per step a height-factor row and an exponential for
-    each row still active; each draw's entries go to the active rows in row
-    order, so every draw must have as many rows as are active.
+    ``draws`` are the straddle's gamma and uniform columns and the first
+    exponentials of all m rows, then per step a height-factor row and an
+    exponential for each row still active; each draw's entries go to the
+    active rows in row order, so every draw must have as many rows as are
+    active.  A row's stationary factor is exp(-U * G) of its straddle.
     """
     tail_ratio = 1.0 / (2**d - 1)
     names = [name for name, _ in draws]
-    assert names[:3] == ["integers", "standard_gamma", "standard_exponential"]
+    assert names[:3] == ["gamma", "random", "standard_exponential"]
     assert names[3:] == ["random", "standard_exponential"] * ((len(draws) - 3) // 2)
-    (_, _), (_, stationary), (_, first), *steps = draws
-    p = [np.exp(-g) for g in stationary]
+    (_, straddle), (_, uniforms), (_, first), *steps = draws
+    assert straddle.shape == uniforms.shape == first.shape == (m,)
+    p = [np.exp(-(u * g)) for u, g in zip(uniforms, straddle)]
     y = [e * pr for e, pr in zip(first, p)]
     depth = [0] * m
     active = [r for r in range(m) if p[r] * tail_ratio >= tolerance]
@@ -1079,7 +1119,8 @@ def test_limit_kernel_draws_only_for_its_active_rows(d, tolerance, m):
         values, depth = samplers._limit_variable_chunk(gen, d, tolerance, m)
         y, steps = _limit_rows(gen.draws, d, tolerance, m)
         assert values.tolist() == y and depth.tolist() == steps
-        assert sum(len(f) for name, f in gen.draws if name == "random") == depth.sum()
+        # the straddle's uniform column, then one height-factor row per step taken
+        assert sum(len(f) for name, f in gen.draws if name == "random") == m + depth.sum()
 
 
 _LAW_PROBABILITIES = (1e-3, 3e-3, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
@@ -1139,8 +1180,10 @@ def test_limit_variables_reject_a_tolerance_that_is_not_finite_and_positive(tole
 
 
 def test_limit_variables_draw_past_the_dimension_where_2_to_the_d_overflows():
-    # the tail bound 1/(2^d - 1) overflowed a double from d = 1024
-    for d in (1023, 1024, 1100):
+    # the tail bound 1/(2^d - 1) overflowed a double from d = 1024; the
+    # stationary factor exp(-U * Gamma(d+1)) underflows to 0 in some rows from
+    # d near 700 (about a quarter at d = 1000), and such a row stops at once
+    for d in (709, 710, 1000, 1023, 1024, 1100):
         y, depth = joined(sample_limit_variables(d, 10, seed=SEED))
         assert np.isfinite(y).all() and (y >= 0).all() and (depth == 0).all(), d
 
